@@ -30,7 +30,7 @@ from .domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from .enumeration import BudgetExceededError, EnumerationSpec, sample_codes
+from .enumeration import BudgetExceededError, EnumerationSpec, philox_digits
 
 PROGRESS_THRESHOLD = 10**7
 PROGRESS_EVERY = 10**6
@@ -155,7 +155,8 @@ def _read_instance(source: str) -> ColouredTournament:
         return parse(source)
     if source == "-":
         return parse(sys.stdin.read())
-    return parse(open(source).read())
+    with open(source) as fh:
+        return parse(fh.read())
 
 
 def _triangle_line(t, cyclic: bool) -> str:
@@ -297,10 +298,12 @@ def cmd_search(cfg: CliConfig) -> int:
 
 
 def cmd_gen(cfg: CliConfig) -> int:
-    spec = EnumerationSpec(
-        n=cfg.order, colours=cfg.colours, mode="sampled", samples=1, seed=cfg.seed
-    )
-    codes = sample_codes(spec, 0)
+    """Row 0 of the sampled stream, built without an EnumerationSpec so that
+    orders beyond the campaign kernel's word stay available."""
+    if cfg.order < 1:
+        raise ValueError("order must be >= 1")
+    pairs = cfg.order * (cfg.order - 1) // 2
+    codes = [int(c) for c in philox_digits(cfg.seed, 2 * cfg.colours, pairs, 0)[0]]
     print(serialize(ColouredTournament.from_codes(cfg.order, codes, cfg.colours)),
           end="")
     return 0

@@ -168,9 +168,6 @@ class ColouredTournament:
                 codes.append(colours + int(self._matrix[j][i]))
         return codes
 
-    def colours_used(self) -> frozenset[Colour]:
-        return frozenset(c for _, _, c in self.arcs())
-
     # -- transforms --------------------------------------------------------
 
     def reverse(self) -> "ColouredTournament":

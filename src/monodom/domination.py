@@ -19,8 +19,8 @@ class DominationRelation:
     """Per-colour reachability closure over a fixed tournament.
 
     rows[c][x] is a bitmask over y of "x reaches y by a colour-c path of
-    length >= 1".  Built once by repeated squaring of the colour-restricted
-    adjacency bit-rows; immutable afterwards.
+    length >= 1".  Built once by a Warshall pass over adjacency rows that
+    pack every colour into one integer; immutable afterwards.
     """
 
     __slots__ = ("n", "rows", "any_rows")
@@ -45,36 +45,32 @@ class DominationRelation:
         return (self.any_rows[x] | 1 << x) == full
 
 
-def _closure(rows: list[int], n: int) -> tuple[int, ...]:
-    """Transitive closure of bit-rows by repeated squaring (paths length >= 1)."""
-    rounds = max(1, (n - 1).bit_length())  # 2**rounds >= n covers every path
-    for _ in range(rounds):
-        nxt = []
-        for x in range(n):
-            acc = row = rows[x]
-            m = row
-            while m:
-                low = m & -m
-                acc |= rows[low.bit_length() - 1]
-                m ^= low
-            nxt.append(acc)
-        if nxt == rows:
-            break
-        rows = nxt
-    return tuple(rows)
+def _closure(rows: list[int], n: int) -> list[int]:
+    """Warshall closure (paths of length >= 1) of packed rows: plane c, bits
+    c*n .. c*n+n-1 of rows[x], holds x's colour-c successors.
+
+    For each k, a row reaching k in colour c gains plane c of row k:
+    (row >> k) & lanes puts that bit at c*n, and multiplying by 2**n - 1
+    spreads it over its own plane without carries.
+    """
+    lanes = sum(1 << (c * n) for c in COLOURS)
+    fill = (1 << n) - 1
+    for k in range(n):
+        rk = rows[k]
+        rows = [r | ((r >> k & lanes) * fill & rk) for r in rows]
+    return rows
 
 
 def domination_relation(t: ColouredTournament) -> DominationRelation:
     """Exact per-colour reachability closure for t."""
     n = t.n
-    per_colour = []
-    for colour in COLOURS:
-        rows = [0] * n
-        for i, j, c in t.arcs():
-            if c is colour:
-                rows[i] |= 1 << j
-        per_colour.append(_closure(rows, n))
-    return DominationRelation(n, tuple(per_colour))
+    packed = [0] * n
+    for i, j, c in t.arcs():
+        packed[i] |= 1 << (c * n + j)
+    packed = _closure(packed, n)
+    plane = (1 << n) - 1
+    rows = tuple(tuple(r >> (c * n) & plane for r in packed) for c in COLOURS)
+    return DominationRelation(n, rows)
 
 
 def dominates(

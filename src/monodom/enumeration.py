@@ -33,6 +33,7 @@ FILTERS = ("none", "two-colour-vertices")
 
 DEFAULT_BUDGET = 10**8
 CANONICAL_ENUMERATION_LIMIT = 6
+WORD_BITS = 64  # the batch kernel packs colours * n bits into one word
 
 
 class BudgetExceededError(ValueError):
@@ -76,6 +77,11 @@ class EnumerationSpec:
             raise ValueError("order must be >= 1")
         if self.colours not in (2, 3):
             raise ValueError("colour count must be 2 or 3")
+        if self.colours * self.n > WORD_BITS:
+            raise ValueError(f"campaigns support colours * order <= {WORD_BITS} "
+                             f"(order <= {WORD_BITS // self.colours} with "
+                             f"{self.colours} colours)")
+        _check_seed(self.seed)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.filter not in FILTERS:
@@ -191,19 +197,34 @@ def shard_indices(spec: EnumerationSpec) -> range:
 # -- sampling ------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """Philox keys take one unsigned 64-bit seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def philox_digits(seed: int, base: int, width: int, block: int) -> np.ndarray:
+    """Digits in [0, base) for rows [block*65536, (block+1)*65536) of the
+    seed's stream, as a uint8 array of shape (65536, width).
+
+    One Philox counter block per sample block keyed by the seed, consumed by
+    the generator's bounded-integer draw, so a row depends only on the seed,
+    the base, the width and its position.
+    """
+    _check_seed(seed)
+    key = np.array([seed, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, block], key=key))
+    return gen.integers(0, base, size=(SAMPLE_BLOCK_ROWS, width), dtype=np.uint8)
+
+
 def sample_block(spec: EnumerationSpec, block: int) -> np.ndarray:
     """Digits for sample rows [block*65536, (block+1)*65536) as a uint8 array
     of shape (65536, free slot count).
 
-    One Philox counter block per sample block keyed by the seed, consumed by
-    the generator's bounded-integer draw; all shards of a seed see identical
-    blocks, so slicing rows by index is stable under any shard layout.
+    All shards of a seed see identical blocks, so slicing rows by index is
+    stable under any shard layout.
     """
-    bg = np.random.Philox(counter=[0, 0, 0, block], key=[spec.seed % 2**64, 0])
-    gen = np.random.Generator(bg)
-    return gen.integers(
-        0, spec.base, size=(SAMPLE_BLOCK_ROWS, len(spec.free_slots)), dtype=np.uint8
-    )
+    return philox_digits(spec.seed, spec.base, len(spec.free_slots), block)
 
 
 def sample_codes(spec: EnumerationSpec, index: int) -> tuple[int, ...]:

@@ -1,12 +1,12 @@
 """Vectorized batch evaluation of domination properties.
 
 Campaigns stream instances as uint8 code arrays of shape (batch, pairs) and
-evaluate whole batches at once.  Per-colour adjacency is kept as bit-rows
-(row i = bitmask of vertices beaten by i in that colour) and monochromatic
-reachability comes from repeated squaring of the bit-row matrix.  For n <= 5
-the per-colour closure is a single table lookup: each pair is in one of three
-states per colour (absent, forward, backward), so there are only 3^pairs
-colour subgraphs, and their closures are precomputed once.
+evaluate whole batches at once.  Each vertex's adjacency is one packed word:
+colour c occupies bits c*n .. c*n+n-1, bit c*n + j set when the vertex beats
+j in colour c.  The word is uint32 when colours * n <= 32 and uint64 up to
+WORD_BITS; EnumerationSpec refuses larger orders.  Decoding is two table
+gathers per pair slot, and one Warshall pass of n steps closes all colour
+planes at once.
 
 Everything here is a pure function of the code array; the pure-Python engine
 in the domination module computes the same quantities one instance at a time
@@ -15,16 +15,13 @@ and serves as the cross-check oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .core import pair_slots
-from .enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec, sample_block
-
-LUT_VERTEX_LIMIT = 5
-
-_BIT_DTYPE = np.uint32
+from .core import pair_slots, slot_index
+from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_block
 
 
 def batch_codes(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
@@ -60,84 +57,77 @@ def batch_codes(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
     return out
 
 
-def decode_rows(codes: np.ndarray, n: int, colours: int = 3) -> list[np.ndarray]:
-    """Per-colour adjacency bit-rows, one (batch, n) array per colour."""
+def _word(n: int, colours: int) -> type:
+    """Narrowest unsigned word holding one bit plane of n bits per colour."""
+    bits = colours * n
+    if bits > WORD_BITS:
+        raise ValueError(
+            f"colours * order = {bits} exceeds the kernel's {WORD_BITS}-bit word"
+        )
+    return np.uint32 if bits <= 32 else np.uint64
+
+
+@lru_cache(maxsize=None)
+def _decode_table(n: int, colours: int) -> np.ndarray:
+    """Word bit each code sets, indexed [slot, end, code]; end 0 is the
+    slot's lower vertex, end 1 the upper."""
     slots = pair_slots(n)
-    B = codes.shape[0]
-    rows = [np.zeros((B, n), dtype=_BIT_DTYPE) for _ in range(colours)]
-    col = codes % colours
-    rev = codes >= colours
+    table = np.zeros((len(slots), 2, 2 * colours), dtype=_word(n, colours))
     for s, (i, j) in enumerate(slots):
         for c in range(colours):
-            here = col[:, s] == c
-            fwd = here & ~rev[:, s]
-            bwd = here & rev[:, s]
-            rows[c][:, i] |= fwd.astype(_BIT_DTYPE) << j
-            rows[c][:, j] |= bwd.astype(_BIT_DTYPE) << i
-    return rows
+            table[s, 0, c] = 1 << (c * n + j)
+            table[s, 1, colours + c] = 1 << (c * n + i)
+    table.flags.writeable = False
+    return table
 
 
-def closure_rows(adj: np.ndarray, n: int) -> np.ndarray:
-    """Reachability bit-rows by repeated squaring (paths of length >= 1)."""
-    reach = adj.copy()
-    for _ in range(max(1, (n - 1).bit_length())):
-        nxt = reach.copy()
-        for j in range(n):
-            via = (reach >> j) & 1
-            nxt |= via * reach[:, j : j + 1]
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-    return reach
+def decode_rows(codes: np.ndarray, n: int, colours: int = 3) -> np.ndarray:
+    """Packed adjacency words, shape (batch, n): bit c*n + j of row i is set
+    when i -> j is an arc of colour c.
 
-
-# -- small-order closure tables -------------------------------------------------
-
-
-_LUT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _reach_table(n: int) -> np.ndarray:
-    """Closure rows for every colour subgraph on n vertices.
-
-    Entry index is the base-3 pair-state integer (0 absent, 1 forward,
-    2 backward; slot 0 least significant); value is the n reach bit-rows.
+    The result is a transposed view of a vertex-major array, so each vertex's
+    column is contiguous.
     """
-    if n not in _LUT_CACHE:
-        slots = pair_slots(n)
-        M = 3 ** len(slots)
-        states = np.arange(M, dtype=np.uint32)
-        adj = np.zeros((M, n), dtype=_BIT_DTYPE)
-        for s, (i, j) in enumerate(slots):
-            st = (states // 3**s) % 3
-            adj[:, i] |= (st == 1).astype(_BIT_DTYPE) << j
-            adj[:, j] |= (st == 2).astype(_BIT_DTYPE) << i
-        _LUT_CACHE[n] = closure_rows(adj, n)
-    return _LUT_CACHE[n]
+    table = _decode_table(n, colours)
+    by_slot = np.ascontiguousarray(codes.T)
+    rows = np.zeros((n, codes.shape[0]), dtype=table.dtype)
+    for s, (i, j) in enumerate(pair_slots(n)):
+        rows[i] |= table[s, 0].take(by_slot[s])
+        rows[j] |= table[s, 1].take(by_slot[s])
+    return rows.T
 
 
-def reach_by_colour(codes: np.ndarray, n: int, colours: int = 3) -> list[np.ndarray]:
-    """Per-colour reachability rows for a code batch."""
-    if n <= LUT_VERTEX_LIMIT:
-        table = _reach_table(n)
-        col = codes % colours
-        rev = (codes >= colours).astype(np.uint32)
-        P = codes.shape[1]
-        weights = (3 ** np.arange(P, dtype=np.uint32))[None, :]
-        out = []
-        for c in range(colours):
-            state = (col == c) * (1 + rev)
-            out.append(table[(state * weights).sum(axis=1, dtype=np.uint32)])
-        return out
-    return [closure_rows(adj, n) for adj in decode_rows(codes, n, colours)]
+def closure_rows(adj: np.ndarray, n: int, colours: int = 3) -> np.ndarray:
+    """Reachability words (paths of length >= 1) of packed adjacency words.
+
+    One Warshall pass closes every colour plane at once: for each k, a row
+    that reaches k in colour c gains row k's plane c.  (row >> k) & lanes
+    puts "reaches k in colour c" at bit c*n, and multiplying by 2**n - 1
+    spreads each such bit over its own plane without carries.
+    """
+    W = adj.dtype.type
+    lanes = W(sum(1 << (c * n) for c in range(colours)))
+    fill = W((1 << n) - 1)
+    reach = adj.T.copy()  # vertex-major, so reach[k] is contiguous
+    step = np.empty_like(reach)
+    for k in range(n):
+        np.right_shift(reach, W(k), out=step)
+        step &= lanes
+        step *= fill
+        step &= reach[k]
+        reach |= step
+    return reach.T
 
 
 def any_reach(codes: np.ndarray, n: int, colours: int = 3) -> np.ndarray:
-    """Bit-rows of the dominates relation (reachable in some colour)."""
-    per = reach_by_colour(codes, n, colours)
-    out = per[0].copy()
-    for r in per[1:]:
-        out |= r
+    """Bit-rows of the dominates relation (reachable in some colour), shape
+    (batch, n), in the word type of the packed rows."""
+    reach = closure_rows(decode_rows(codes, n, colours), n, colours)
+    W = reach.dtype.type
+    plane = W((1 << n) - 1)
+    out = reach & plane
+    for c in range(1, colours):
+        out |= (reach >> W(c * n)) & plane
     return out
 
 
@@ -155,11 +145,7 @@ def rainbow_triangle_mask(
     col = codes % colours
     rev = codes >= colours
     for i, j, k in combinations(range(n), 3):
-        s1, s2, s3 = (
-            _slot_cache(n)[(i, j)],
-            _slot_cache(n)[(i, k)],
-            _slot_cache(n)[(j, k)],
-        )
+        s1, s2, s3 = slot_index(n, i, j), slot_index(n, i, k), slot_index(n, j, k)
         c1, c2, c3 = col[:, s1], col[:, s2], col[:, s3]
         rainbow = (c1 != c2) & (c1 != c3) & (c2 != c3)
         if require_cyclic:
@@ -171,20 +157,17 @@ def rainbow_triangle_mask(
     return found
 
 
-_SLOT_CACHE: dict[int, dict[tuple[int, int], int]] = {}
-
-
-def _slot_cache(n: int) -> dict[tuple[int, int], int]:
-    if n not in _SLOT_CACHE:
-        _SLOT_CACHE[n] = {pair: s for s, pair in enumerate(pair_slots(n))}
-    return _SLOT_CACHE[n]
+def _covered(reach: np.ndarray, n: int) -> tuple[np.ndarray, np.integer]:
+    """Reach rows with each vertex's own bit added, and the all-vertices word."""
+    W = reach.dtype.type
+    selfbits = W(1) << np.arange(n, dtype=reach.dtype)
+    return reach | selfbits, W((1 << n) - 1)
 
 
 def dominating_vertex_mask(reach: np.ndarray, n: int) -> np.ndarray:
     """Which instances have a vertex dominating all others."""
-    full = _BIT_DTYPE((1 << n) - 1)
-    selfbits = (_BIT_DTYPE(1) << np.arange(n, dtype=_BIT_DTYPE))[None, :]
-    return ((reach | selfbits) == full).any(axis=1)
+    covered, full = _covered(reach, n)
+    return (covered == full).any(axis=1)
 
 
 def qualifying_cycle_mask(reach: np.ndarray, n: int) -> np.ndarray:
@@ -198,12 +181,11 @@ def qualifying_cycle_mask(reach: np.ndarray, n: int) -> np.ndarray:
     B = reach.shape[0]
     if n < 3:
         return np.zeros(B, dtype=bool)
-    full = _BIT_DTYPE((1 << n) - 1)
-    selfbits = (_BIT_DTYPE(1) << np.arange(n, dtype=_BIT_DTYPE))[None, :]
-    nd = full & ~(reach | selfbits)
+    covered, full = _covered(reach, n)
+    nd = full & ~covered
     singleton = (nd != 0) & ((nd & (nd - 1)) == 0)
     ok = singleton.all(axis=1)
-    pred = np.zeros((B, n), dtype=np.int8)
+    pred = np.zeros_like(nd, dtype=np.int8)
     for j in range(n):
         pred[nd == (1 << j)] = j
     pos = np.zeros(B, dtype=np.int8)
@@ -224,9 +206,7 @@ def cover_order_tiers(reach: np.ndarray, n: int, k_max: int = 3) -> np.ndarray:
     <= min(k_max, 3) covers; callers fall back to the per-instance engine.
     """
     B = reach.shape[0]
-    full = _BIT_DTYPE((1 << n) - 1)
-    selfbits = (_BIT_DTYPE(1) << np.arange(n, dtype=_BIT_DTYPE))[None, :]
-    covered = reach | selfbits
+    covered, full = _covered(reach, n)
     order = np.zeros(B, dtype=np.uint8)
     order[(covered == full).any(axis=1)] = 1
     if k_max >= 2:

@@ -150,6 +150,9 @@ def test_gen_round_trip_and_determinism(capsys):
     assert t.n == 5
     _, out3, _ = run_cli(capsys, "gen", "--order", "5", "--seed", "5")
     assert out3 != out1
+    # the README example pins the seed -> instance stream
+    _, out4, _ = run_cli(capsys, "gen", "--order", "4", "--seed", "1")
+    assert out4 == "4\n...g\ng.gg\nr...\n..r.\n"
 
 
 def test_gen_matches_sampled_stream_head(capsys):
@@ -178,6 +181,28 @@ def test_exit_2_on_budget(capsys):
     status, _, err = run_cli(capsys, "verify", "--order", "12")
     assert status == 2
     assert "use sampled mode" in err
+
+
+def test_exit_2_past_kernel_word(capsys):
+    for argv in (
+        ("verify", "--order", "22", "--mode", "sampled", "--samples", "10"),
+        ("verify", "--order", "33", "--colours", "2", "--mode", "sampled",
+         "--samples", "10"),
+        ("search", "--order", "22", "--pattern", "rb", "--mode", "sampled",
+         "--samples", "10"),
+    ):
+        status, _, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert "colours * order <= 64" in err
+
+
+def test_engine_commands_stay_unlimited(capsys):
+    status, text, _ = run_cli(capsys, "gen", "--order", "22", "--seed", "3")
+    assert status == 0 and parse(text).n == 22
+    status, out, _ = run_cli(capsys, "check", "--input", text)
+    assert status == 0 and out.startswith("n=22\n")
+    status, _, err = run_cli(capsys, "gen", "--order", "4", "--seed", "-1")
+    assert status == 2 and "seed must be in" in err
 
 
 def test_exit_2_on_bad_flags(capsys):

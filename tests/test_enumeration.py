@@ -1,5 +1,7 @@
 """Enumeration geometry, sharding, sampling, canonical filtering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,22 @@ def test_spec_validation():
         EnumerationSpec(n=4, pattern=RGB)  # period does not divide order
 
 
+def test_word_width_limit():
+    EnumerationSpec(n=21, mode="sampled", samples=1)
+    EnumerationSpec(n=32, colours=2, mode="sampled", samples=1)
+    with pytest.raises(ValueError, match=r"colours \* order <= 64 \(order <= 21"):
+        EnumerationSpec(n=22, mode="sampled", samples=1)
+    with pytest.raises(ValueError, match=r"colours \* order <= 64 \(order <= 32"):
+        EnumerationSpec(n=33, colours=2, mode="sampled", samples=1)
+
+
+def test_seed_range():
+    EnumerationSpec(n=3, mode="sampled", samples=1, seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            EnumerationSpec(n=3, mode="sampled", samples=1, seed=seed)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError, match="use sampled mode"):
         EnumerationSpec(n=12)
@@ -165,6 +183,34 @@ def test_sample_block_geometry():
     assert tuple(block[7]) == sample_codes(spec, 7)
     again = sample_block(spec, 0)
     assert (block == again).all()
+
+
+# SHA-256 of sample_block(spec(n, seed), block).tobytes(): seeds below 2**63
+# pin the streams campaigns have always drawn; the last two pin the upper half
+SAMPLE_BLOCK_DIGESTS = [
+    (5, 0, 0, "b15f693a6a35de86fb3460e91fb01cede2e20009cc5105a81800cd0816c26edf"),
+    (5, 5, 3, "406fb069c38f92f5db6cbcd49bc1ed91496af63936cd324ca3a3b71ff16a6cb6"),
+    (9, 39892, 0, "3c78d6fe82c52b92491cc4387c4a1bc5b395480ee4e1ae51c1c7ccc6c3a2acdb"),
+    (4, 2**53 + 1, 1, "28bf188858776818cff4cef81c8e651b97930cf783088e04e46cad8c16962b2f"),
+    (6, 2**63 - 1, 0, "4a4da07d41b07e8d74be82c6457afee86abdf4d664334fa2180a345fa13e344f"),
+    (3, 2**63 + 5, 0, "fff03e732b7f530febfe232d676bf84291f15f2a67c27b938feb63b15b7e1e75"),
+    (3, 2**64 - 1, 0, "4f87859c022256440b3eca618bea95d9ba84f889be16a1092e2a2de70f43785d"),
+]
+
+
+@pytest.mark.parametrize("n, seed, block, digest", SAMPLE_BLOCK_DIGESTS)
+def test_sample_block_golden_digests(n, seed, block, digest):
+    spec = EnumerationSpec(n=n, mode="sampled", samples=1, seed=seed)
+    assert hashlib.sha256(sample_block(spec, block).tobytes()).hexdigest() == digest
+
+
+def test_distinct_seeds_draw_distinct_streams():
+    def head(seed):
+        spec = EnumerationSpec(n=3, mode="sampled", samples=1, seed=seed)
+        return sample_block(spec, 0)[:64].tobytes()
+
+    assert head(2**63) != head(2**63 + 5)
+    assert len({head(0), head(2**64 - 1), head(2**63)}) == 3
 
 
 def test_sample_codes_cross_block_boundary():

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from monodom.auditor import genhamilton_check
 from monodom.core import ColouredTournament
@@ -19,10 +20,10 @@ from monodom.kernel import (
     batch_codes,
     closure_rows,
     cover_order_tiers,
+    decode_rows,
     dominating_vertex_mask,
     qualifying_cycle_mask,
     rainbow_triangle_mask,
-    reach_by_colour,
     two_colour_vertices_mask,
 )
 
@@ -80,35 +81,45 @@ def test_closure_rows_matches_bfs_oracle():
     rng = random.Random(101)
     for _ in range(200):
         n = rng.randrange(2, 9)
-        # random digraph bit-rows, not necessarily tournaments
-        adj = np.array(
-            [rng.randrange(1 << n) & ~(1 << i) for i in range(n)], dtype=np.uint32
-        ).reshape(1, n)
-        reach = closure_rows(adj.copy(), n)[0]
-        for src in range(n):
-            seen, frontier = set(), [src]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in range(n):
-                        if int(adj[0][x]) >> y & 1 and y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            assert int(reach[src]) == sum(1 << y for y in seen)
+        colours = rng.choice((2, 3))
+        # random digraph bit-rows per colour plane, not necessarily tournaments
+        planes = [[rng.randrange(1 << n) & ~(1 << i) for i in range(n)]
+                  for _ in range(colours)]
+        words = [sum(planes[c][x] << (c * n) for c in range(colours)) for x in range(n)]
+        adj = np.array(words, dtype=np.uint32).reshape(1, n)
+        reach = closure_rows(adj, n, colours)[0]
+        for c, plane in enumerate(planes):
+            for src in range(n):
+                seen, frontier = set(), [src]
+                while frontier:
+                    nxt = []
+                    for x in frontier:
+                        for y in range(n):
+                            if plane[x] >> y & 1 and y not in seen:
+                                seen.add(y)
+                                nxt.append(y)
+                    frontier = nxt
+                got = int(reach[src]) >> (c * n) & ((1 << n) - 1)
+                assert got == sum(1 << y for y in seen)
 
 
-def test_reach_by_colour_lut_equals_generic():
-    # n <= 5 answers come from the pair-state table; recompute via closure
+def test_any_reach_matches_engine_at_word_edges():
+    # orders on both sides of the uint32/uint64 switch and at the word limit
     rng = random.Random(55)
-    for n in (2, 3, 4, 5):
-        codes = random_codes(rng, 300, n)
-        lut = reach_by_colour(codes, n)
-        from monodom.kernel import decode_rows
+    edges = [(3, n) for n in (1, 2, 3, 5, 6, 10, 11, 21)]
+    edges += [(2, n) for n in (16, 17, 32)]
+    for colours, n in edges:
+        codes = random_codes(rng, 12, n, colours)
+        reach = any_reach(codes, n, colours)
+        assert reach.dtype == (np.uint32 if colours * n <= 32 else np.uint64)
+        for r, row in enumerate(codes):
+            rel = domination_relation(ColouredTournament.from_codes(n, list(row), colours))
+            assert [int(x) for x in reach[r]] == list(rel.any_rows)
 
-        generic = [closure_rows(adj, n) for adj in decode_rows(codes, n)]
-        for c in range(3):
-            assert (lut[c] == generic[c]).all()
+
+def test_kernel_refuses_words_past_64_bits():
+    with pytest.raises(ValueError, match="64-bit word"):
+        decode_rows(np.zeros((1, 231), dtype=np.uint8), 22, 3)
 
 
 def test_reach_matches_engine_relation():
@@ -116,12 +127,12 @@ def test_reach_matches_engine_relation():
     for colours in (2, 3):
         for n in range(2, 9):
             codes = random_codes(rng, 60, n, colours)
-            per_colour = reach_by_colour(codes, n, colours)
+            reach = closure_rows(decode_rows(codes, n, colours), n, colours)
             for r, row in enumerate(codes):
                 t = ColouredTournament.from_codes(n, list(row), colours)
                 rel = domination_relation(t)
                 for c in range(colours):
-                    got = [int(per_colour[c][r, x]) for x in range(n)]
+                    got = [int(reach[r, x]) >> (c * n) & ((1 << n) - 1) for x in range(n)]
                     assert got == list(rel.rows[c])
 
 
