@@ -387,10 +387,6 @@ class DescentTrace:
     obstruction: str
     obstruction_detail: dict | None = None
 
-    @property
-    def stalled(self) -> bool:
-        return True
-
     def to_witness(self) -> dict:
         return {
             "pivot": self.pivot,
@@ -400,6 +396,10 @@ class DescentTrace:
             "obstruction": self.obstruction,
             "detail": self.obstruction_detail,
         }
+
+
+class DescentPreconditionError(ValueError):
+    """The partition has no starting pair (m, n) for the descent."""
 
 
 def _scan(
@@ -444,7 +444,7 @@ def descent_check(
             ((m, v) for m in ms for v in ns if cycle.successor(v) != m), None
         )
         if pair is None:
-            raise ValueError(
+            raise DescentPreconditionError(
                 "descent precondition unmet: need m in blue_out_blue and "
                 "n in red_in_red with m != successor(n)"
             )
@@ -734,7 +734,7 @@ def audit(t: ColouredTournament) -> AuditReport:
             )
         try:
             traces.append(descent_check(t, x, cycle, part, rel))
-        except ValueError:
+        except DescentPreconditionError:
             pass  # preconditions failed; recorded via lemma_m / lemma_n above
     report.findings.append(CheckResult("lemma_m", not m_failures, m_failures or None))
     report.findings.append(CheckResult("lemma_n", not n_failures, n_failures or None))

@@ -6,9 +6,11 @@ for a fixed spec (seed and shard layout included).  Shard results merge into
 exactly the result of the unsharded run: counts add, violator lists interleave
 by global index, extremal witnesses keep the lowest-index representative.
 
-Heavy scans run on the vectorized kernel; canonical mode (small orders only)
-walks instances one at a time on the pure engine.  Expected violator counts
-are zero throughout, so violator storage is capped (the count is exact).
+Every campaign is a per-batch evaluator of kernel masks that one shared
+scan (`_Scan`) runs in every mode: canonical mode only drops the rows that
+are not their orbit's representative before the evaluator sees the batch.
+Expected violator counts are zero throughout, so violator storage is capped
+(the count is exact).
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ import numpy as np
 
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
-from .domination import (
-    dominating_vertices,
-    domination_relation,
-    find_rainbow_triangle,
-    min_cover,
-)
-from .enumeration import (
-    EnumerationSpec,
-    enumerate_instances,
-    matches_filter,
-)
+from .domination import min_cover
+from .enumeration import EnumerationSpec, is_canonical
 from . import kernel
 
 BATCH_ROWS = 1 << 20
@@ -121,45 +114,96 @@ def merge_results(
     )
 
 
-# -- shared scan plumbing --------------------------------------------------------
+# -- the shared scan --------------------------------------------------------------
 
 
-def _record(violators: list[dict], index: int, t: ColouredTournament) -> None:
-    if len(violators) < VIOLATOR_CAP:
-        violators.append({"index": index, "instance": serialize(t)})
+class _Scan:
+    """One walk over a spec's shard, feeding each batch to a campaign's
+    per-batch evaluator.
 
+    The scan owns everything campaigns share: batch codes, canonical-mode row
+    selection, the vertex filter, the enumerated/examined counts, mapping rows
+    to global indices, capped violator recording, lowest-index witnesses,
+    progress and timing.  An evaluator sees only the examined rows of a batch
+    and names them by row number within that array.
+    """
 
-def _instance(spec: EnumerationSpec, codes_row: np.ndarray) -> ColouredTournament:
-    return ColouredTournament.from_codes(
-        spec.n, [int(c) for c in codes_row], colours=spec.colours
-    )
+    def __init__(self, spec: EnumerationSpec, batch_rows: int, progress: int):
+        self.spec = spec
+        self.batch_rows = batch_rows
+        self.progress = progress
+        self.counts = {"enumerated": 0, "examined": 0, "violations": 0}
+        self.violators: list[dict] = []
+        self.extremal: dict = {}
+        self.check_failures: dict[str, int] = {}
+        # the current batch: its first shard position, the batch positions
+        # of its examined rows (None when all are examined) and their codes
+        self._start = 0
+        self._rows: np.ndarray | None = None
+        self._codes: np.ndarray | None = None
 
+    def run(self, evaluate) -> CampaignResult:
+        """Call evaluate(scan, codes) on the examined rows of every batch."""
+        spec = self.spec
+        t0 = time.time()
+        k, m = spec.shard
+        total = spec.shard_size()
+        next_mark = self.progress
+        for start in range(0, total, self.batch_rows):
+            size = min(self.batch_rows, total - start)
+            codes = kernel.batch_codes(spec, start, size)
+            rows = None
+            if spec.mode == "canonical":
+                rows = np.flatnonzero([is_canonical(self._tournament(c))
+                                       for c in codes])
+                codes = codes[rows]
+            self.counts["enumerated"] += len(codes)
+            if spec.filter == "two-colour-vertices":
+                keep = np.flatnonzero(
+                    kernel.two_colour_vertices_mask(codes, spec.n, spec.colours))
+                rows = keep if rows is None else rows[keep]
+                codes = codes[keep]
+            self.counts["examined"] += len(codes)
+            self._start, self._rows, self._codes = start, rows, codes
+            evaluate(self, codes)
+            done = start + size
+            if self.progress and done >= next_mark:
+                print(f"shard {k}/{m}: {done} of {total}", file=sys.stderr)
+                next_mark = (done // self.progress + 1) * self.progress
+        return CampaignResult(
+            spec, self.counts, self.violators, self.extremal, self.check_failures,
+            elapsed=time.time() - t0,
+        )
 
-class _Progress:
-    def __init__(self, spec: EnumerationSpec, every: int):
-        self.every = every
-        self.prefix = f"shard {spec.shard[0]}/{spec.shard[1]}"
-        self.total = spec.shard_size()
-        self.next_mark = every
+    def _tournament(self, codes_row: np.ndarray) -> ColouredTournament:
+        return ColouredTournament.from_codes(
+            self.spec.n, codes_row.tolist(), colours=self.spec.colours
+        )
 
-    def step(self, done: int) -> None:
-        if self.every and done >= self.next_mark:
-            print(f"{self.prefix}: {done} of {self.total}", file=sys.stderr)
-            while self.next_mark <= done:
-                self.next_mark += self.every
+    def index(self, row: int) -> int:
+        """Global index of an examined row of the current batch."""
+        k, m = self.spec.shard
+        position = self._start + int(row if self._rows is None else self._rows[row])
+        return k + position * m
 
+    def instance(self, row: int) -> ColouredTournament:
+        return self._tournament(self._codes[row])
 
-def _batches(spec: EnumerationSpec, batch_rows: int):
-    """Yield (start position, codes array) covering this shard."""
-    total = spec.shard_size()
-    for start in range(0, total, batch_rows):
-        size = min(batch_rows, total - start)
-        yield start, kernel.batch_codes(spec, start, size)
+    def _entry(self, row: int) -> dict:
+        return {"index": self.index(row), "instance": serialize(self.instance(row))}
 
+    def record(self, rows: np.ndarray) -> None:
+        """Count the rows as violations; store them up to VIOLATOR_CAP."""
+        self.counts["violations"] += len(rows)
+        for row in rows[: VIOLATOR_CAP - len(self.violators)]:
+            self.violators.append(self._entry(row))
 
-def _global_indices(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
-    k, m = spec.shard
-    return k + (np.arange(start, start + size, dtype=np.int64)) * m
+    def witness(self, stat: str, value: str, row: int) -> None:
+        """Keep the row as the witness of `value` unless one exists: rows
+        arrive in increasing index order, so the first is the lowest."""
+        slot = self.extremal.setdefault(stat, {})
+        if value not in slot:
+            slot[value] = self._entry(row)
 
 
 # -- campaigns ---------------------------------------------------------------------
@@ -175,56 +219,15 @@ def verify_conjecture(
     vertex; instances with neither are collected as violators."""
     if spec.colours != 3:
         raise ValueError("the conjecture concerns 3-coloured tournaments")
-    t0 = time.time()
-    if spec.mode == "canonical":
-        return _verify_conjecture_pure(spec, require_cyclic, t0)
-    prog = _Progress(spec, progress)
-    enumerated = examined = violations = 0
-    violators: list[dict] = []
-    for start, codes in _batches(spec, batch_rows):
-        size = codes.shape[0]
-        enumerated += size
-        keep = _filter_mask(spec, codes)
-        examined += int(keep.sum())
+
+    def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         t3 = kernel.rainbow_triangle_mask(codes, spec.n, require_cyclic=require_cyclic)
-        bad = keep & ~t3
+        bad = ~t3
         if bad.any():
             reach = kernel.any_reach(codes[bad], spec.n)
-            dom = kernel.dominating_vertex_mask(reach, spec.n)
-            rows = np.flatnonzero(bad)[~dom]
-            violations += len(rows)
-            for b in rows:
-                _record(violators, int(_global_indices(spec, start, size)[b]),
-                        _instance(spec, codes[b]))
-        prog.step(start + size)
-    counts = {"enumerated": enumerated, "examined": examined, "violations": violations}
-    return CampaignResult(spec, counts, violators, elapsed=time.time() - t0)
+            scan.record(np.flatnonzero(bad)[~kernel.dominating_vertex_mask(reach, spec.n)])
 
-
-def _verify_conjecture_pure(
-    spec: EnumerationSpec, require_cyclic: bool, t0: float
-) -> CampaignResult:
-    enumerated = examined = violations = 0
-    violators: list[dict] = []
-    for index, t in enumerate_instances(spec):
-        enumerated += 1
-        if not matches_filter(spec, t):
-            continue
-        examined += 1
-        if find_rainbow_triangle(t, require_cyclic=require_cyclic) is not None:
-            continue
-        if dominating_vertices(t):
-            continue
-        violations += 1
-        _record(violators, index, t)
-    counts = {"enumerated": enumerated, "examined": examined, "violations": violations}
-    return CampaignResult(spec, counts, violators, elapsed=time.time() - t0)
-
-
-def _filter_mask(spec: EnumerationSpec, codes: np.ndarray) -> np.ndarray:
-    if spec.filter == "two-colour-vertices":
-        return kernel.two_colour_vertices_mask(codes, spec.n, spec.colours)
-    return np.ones(codes.shape[0], dtype=bool)
+    return _Scan(spec, batch_rows, progress).run(evaluate)
 
 
 def verify_ssw2(
@@ -233,38 +236,12 @@ def verify_ssw2(
     """Check every 2-coloured instance for a dominating vertex."""
     if spec.colours != 2:
         raise ValueError("this campaign concerns 2-coloured tournaments")
-    t0 = time.time()
-    enumerated = examined = violations = 0
-    violators: list[dict] = []
-    if spec.mode == "canonical":
-        for index, t in enumerate_instances(spec):
-            enumerated += 1
-            if not matches_filter(spec, t):
-                continue
-            examined += 1
-            if not dominating_vertices(t):
-                violations += 1
-                _record(violators, index, t)
-        counts = {
-            "enumerated": enumerated, "examined": examined, "violations": violations,
-        }
-        return CampaignResult(spec, counts, violators, elapsed=time.time() - t0)
-    prog = _Progress(spec, progress)
-    for start, codes in _batches(spec, batch_rows):
-        size = codes.shape[0]
-        enumerated += size
-        keep = _filter_mask(spec, codes)
-        examined += int(keep.sum())
+
+    def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         reach = kernel.any_reach(codes, spec.n, colours=2)
-        dom = kernel.dominating_vertex_mask(reach, spec.n)
-        rows = np.flatnonzero(keep & ~dom)
-        violations += len(rows)
-        for b in rows:
-            _record(violators, int(_global_indices(spec, start, size)[b]),
-                    _instance(spec, codes[b]))
-        prog.step(start + size)
-    counts = {"enumerated": enumerated, "examined": examined, "violations": violations}
-    return CampaignResult(spec, counts, violators, elapsed=time.time() - t0)
+        scan.record(np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n)))
+
+    return _Scan(spec, batch_rows, progress).run(evaluate)
 
 
 def estimate_f(
@@ -280,59 +257,25 @@ def estimate_f(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    t0 = time.time()
-    enumerated = examined = uncovered = 0
-    witnesses: dict[str, dict] = {}
 
-    def note(value: str, index: int, t: ColouredTournament):
-        if value not in witnesses or index < witnesses[value]["index"]:
-            witnesses[value] = {"index": index, "instance": serialize(t)}
-
-    if spec.mode == "canonical":
-        for index, t in enumerate_instances(spec):
-            enumerated += 1
-            if not matches_filter(spec, t):
-                continue
-            examined += 1
-            cover = min_cover(t, k_max=k_max)
+    def evaluate(scan: _Scan, codes: np.ndarray) -> None:
+        reach = kernel.any_reach(codes, spec.n, colours=spec.colours)
+        tiers = kernel.cover_order_tiers(reach, spec.n, k_max=k_max)
+        for order in (1, 2, 3):
+            rows = np.flatnonzero(tiers == order)
+            if len(rows):
+                scan.witness("min_cover", str(order), rows[0])
+        for row in np.flatnonzero(tiers == 0):
+            cover = min_cover(scan.instance(row), k_max=k_max)
             if cover is None:
-                uncovered += 1
-                note("uncovered", index, t)
-            else:
-                note(str(cover.order), index, t)
-    else:
-        prog = _Progress(spec, progress)
-        for start, codes in _batches(spec, batch_rows):
-            size = codes.shape[0]
-            enumerated += size
-            keep = _filter_mask(spec, codes)
-            examined += int(keep.sum())
-            reach = kernel.any_reach(codes, spec.n, colours=spec.colours)
-            tiers = kernel.cover_order_tiers(reach, spec.n, k_max=k_max)
-            tiers[~keep] = 255
-            gidx = _global_indices(spec, start, size)
-            for order in (1, 2, 3):
-                rows = np.flatnonzero(tiers == order)
-                if len(rows):
-                    b = int(rows[0])
-                    note(str(order), int(gidx[b]), _instance(spec, codes[b]))
-            for b in np.flatnonzero(tiers == 0):
-                t = _instance(spec, codes[b])
-                cover = min_cover(t, k_max=k_max)
-                if cover is None:
-                    uncovered += 1
-                    note("uncovered", int(gidx[b]), t)
-                else:
-                    note(str(cover.order), int(gidx[b]), t)
-            prog.step(start + size)
-    counts = {
-        "enumerated": enumerated,
-        "examined": examined,
-        "violations": 0,
-        "uncovered": uncovered,
-    }
-    extremal = {"min_cover": {k: witnesses[k] for k in sorted(witnesses)}}
-    return CampaignResult(spec, counts, extremal=extremal, elapsed=time.time() - t0)
+                scan.counts["uncovered"] += 1
+            value = "uncovered" if cover is None else str(cover.order)
+            scan.witness("min_cover", value, row)
+
+    scan = _Scan(spec, batch_rows, progress)
+    scan.counts["uncovered"] = 0
+    scan.extremal["min_cover"] = {}
+    return scan.run(evaluate)
 
 
 def search_pattern(
@@ -364,53 +307,34 @@ def search_pattern(
     spec = EnumerationSpec(**kwargs)
     if mode == "canonical":
         raise ValueError("pattern searches run exhaustive or sampled")
-    t0 = time.time()
-    prog = _Progress(spec, progress)
-    enumerated = weak = alarms = 0
-    failures = {"t3": 0, "dominating_vertex": 0, "genhamilton": 0}
-    violators: list[dict] = []
-    alarm_list: list[dict] = []
-    for start, codes in _batches(spec, batch_rows):
-        size = codes.shape[0]
-        enumerated += size
+
+    def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         reach = kernel.any_reach(codes, spec.n)
         qual = kernel.qualifying_cycle_mask(reach, spec.n)
         t3 = kernel.rainbow_triangle_mask(codes, spec.n)
         dom = kernel.dominating_vertex_mask(reach, spec.n)
+        failures = scan.check_failures
         failures["t3"] += int(t3.sum())
         failures["dominating_vertex"] += int(dom.sum())
         failures["genhamilton"] += int((~qual).sum())
-        weak_mask = qual & ~t3 & ~dom
-        if weak_mask.any():
-            gidx = _global_indices(spec, start, size)
-            for b in np.flatnonzero(weak_mask):
-                weak += 1
-                t = _instance(spec, codes[b])
-                _record(violators, int(gidx[b]), t)
-                report = audit(t)
-                for f in report.findings:
-                    if not f.holds:
-                        failures[f.check] = failures.get(f.check, 0) + 1
-                if report.alarm:
-                    alarms += 1
-                    if len(alarm_list) < VIOLATOR_CAP:
-                        alarm_list.append(
-                            {"index": int(gidx[b]), "report": report.to_dict()}
-                        )
-        prog.step(start + size)
-    counts = {
-        "enumerated": enumerated,
-        "examined": enumerated,
-        "violations": weak,
-        "alarms": alarms,
-    }
-    extremal = (
-        {"alarms": {str(a["index"]): a for a in alarm_list}} if alarm_list else {}
-    )
-    return CampaignResult(
-        spec, counts, violators, extremal=extremal, check_failures=failures,
-        elapsed=time.time() - t0,
-    )
+        weak = np.flatnonzero(qual & ~t3 & ~dom)
+        scan.record(weak)
+        for row in weak:
+            report = audit(scan.instance(row))
+            for f in report.findings:
+                if not f.holds:
+                    failures[f.check] = failures.get(f.check, 0) + 1
+            if report.alarm:
+                scan.counts["alarms"] += 1
+                alarms = scan.extremal.setdefault("alarms", {})
+                if len(alarms) < VIOLATOR_CAP:
+                    index = scan.index(row)
+                    alarms[str(index)] = {"index": index, "report": report.to_dict()}
+
+    scan = _Scan(spec, batch_rows, progress)
+    scan.counts["alarms"] = 0
+    scan.check_failures.update(t3=0, dominating_vertex=0, genhamilton=0)
+    return scan.run(evaluate)
 
 
 # -- parallel driver -----------------------------------------------------------------

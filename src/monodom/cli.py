@@ -303,7 +303,7 @@ def cmd_gen(cfg: CliConfig) -> int:
     if cfg.order < 1:
         raise ValueError("order must be >= 1")
     pairs = cfg.order * (cfg.order - 1) // 2
-    codes = [int(c) for c in philox_digits(cfg.seed, 2 * cfg.colours, pairs, 0)[0]]
+    codes = philox_digits(cfg.seed, 2 * cfg.colours, pairs, 0, rows=1)[0].tolist()
     print(serialize(ColouredTournament.from_codes(cfg.order, codes, cfg.colours)),
           end="")
     return 0

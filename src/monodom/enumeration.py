@@ -203,18 +203,22 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def philox_digits(seed: int, base: int, width: int, block: int) -> np.ndarray:
-    """Digits in [0, base) for rows [block*65536, (block+1)*65536) of the
-    seed's stream, as a uint8 array of shape (65536, width).
+def philox_digits(
+    seed: int, base: int, width: int, block: int, rows: int
+) -> np.ndarray:
+    """Digits in [0, base) for the first `rows` rows of sample block `block`
+    (rows block*65536 onwards) of the seed's stream, as a uint8 array of
+    shape (rows, width).
 
     One Philox counter block per sample block keyed by the seed, consumed by
-    the generator's bounded-integer draw, so a row depends only on the seed,
-    the base, the width and its position.
+    the generator's bounded-integer draw in row order, so a row depends only
+    on the seed, the base, the width and its position: a short draw is a
+    prefix of the full block.
     """
     _check_seed(seed)
     key = np.array([seed, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, block], key=key))
-    return gen.integers(0, base, size=(SAMPLE_BLOCK_ROWS, width), dtype=np.uint8)
+    return gen.integers(0, base, size=(rows, width), dtype=np.uint8)
 
 
 def sample_block(spec: EnumerationSpec, block: int) -> np.ndarray:
@@ -224,7 +228,9 @@ def sample_block(spec: EnumerationSpec, block: int) -> np.ndarray:
     All shards of a seed see identical blocks, so slicing rows by index is
     stable under any shard layout.
     """
-    return philox_digits(spec.seed, spec.base, len(spec.free_slots), block)
+    return philox_digits(
+        spec.seed, spec.base, len(spec.free_slots), block, SAMPLE_BLOCK_ROWS
+    )
 
 
 def sample_codes(spec: EnumerationSpec, index: int) -> tuple[int, ...]:
@@ -256,11 +262,14 @@ def is_canonical(t: ColouredTournament) -> bool:
 def enumerate_instances(
     spec: EnumerationSpec,
 ) -> Iterator[tuple[int, ColouredTournament]]:
-    """Stream (global index, instance) pairs for the spec's shard.
+    """Stream (global index, instance) pairs for the spec's shard, one
+    instance at a time.
 
-    The index is the mixed-radix integer in exhaustive and canonical modes
-    and the sample position in sampled mode; it is the deterministic
-    tie-break key used by campaign reports.
+    Campaigns scan batches from kernel.batch_codes instead; this stream is
+    the oracle tests check those batches and the campaigns' canonical-mode
+    row selection against.  The index is the mixed-radix integer in
+    exhaustive and canonical modes and the sample position in sampled mode;
+    it is the deterministic tie-break key used by campaign reports.
     """
     if spec.mode == "sampled":
         for index in shard_indices(spec):

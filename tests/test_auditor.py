@@ -11,6 +11,7 @@ from monodom.auditor import (
     CheckResult,
     ColourProfilePartition,
     CycleView,
+    DescentPreconditionError,
     NoDominatingVertexError,
     _check_alternation,
     _check_lemma_xcy,
@@ -346,7 +347,6 @@ def test_descent_runs_rounds_then_stalls():
     assert [(r.m, r.n, r.p, r.t) for r in trace.rounds] == [(2, 0, 4, 5)]
     assert trace.obstruction == "no_admissible_p"
     assert trace.obstruction_detail == {"round": 1, "missing": "p", "exhausted": True}
-    assert trace.stalled
     assert len(trace.rounds) <= t.n // 2
     # round 0 picks p from the dominating out-class and t from the far end
     r0 = trace.rounds[0]
@@ -381,7 +381,7 @@ def test_descent_blocked_scan_detail():
 
 def test_descent_precondition_unmet_on_t3():
     cycle = CycleView((0, 1, 2), T3)
-    with pytest.raises(ValueError, match="precondition"):
+    with pytest.raises(DescentPreconditionError, match="precondition"):
         descent_check(T3, 0, cycle)
 
 
@@ -504,6 +504,19 @@ def test_audit_t3_profile():
     assert report.finding("descent") is None  # preconditions never met here
     assert not report.alarm
     assert report.verdict == SAFE_VERDICT
+
+
+def test_audit_propagates_other_descent_errors(monkeypatch):
+    # audit skips only an unmet descent precondition; any other error in the
+    # descent is a fault and must surface
+    import monodom.auditor as auditor_module
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a precondition")
+
+    monkeypatch.setattr(auditor_module, "descent_check", broken)
+    with pytest.raises(ValueError, match="not a precondition"):
+        audit(T3)
 
 
 def test_audit_stops_early_without_qualifying_cycle():

@@ -1,8 +1,11 @@
 """Campaign counts, merge exactness, sampled determinism, parallel runs."""
 
+import hashlib
+
 import pytest
 
 from monodom.campaigns import (
+    BATCH_ROWS,
     CampaignResult,
     estimate_f,
     merge_results,
@@ -200,3 +203,72 @@ def test_result_dict_shape():
 def test_violations_property_counts_alarms():
     r = CampaignResult(EnumerationSpec(n=3), {"violations": 1, "alarms": 2})
     assert r.violations == 3
+
+
+# each campaign over several batches: rows map to global indices across batch
+# boundaries, also where canonical mode or the vertex filter drops rows
+BATCHED_CAMPAIGNS = {
+    "canonical n=3 1/2": lambda b: verify_conjecture(
+        EnumerationSpec(n=3, mode="canonical", shard=(1, 2)), batch_rows=b),
+    "filtered n=4 2/5": lambda b: verify_conjecture(
+        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), batch_rows=b),
+    "estimate_f canonical n=3 k_max=1": lambda b: estimate_f(
+        EnumerationSpec(n=3, mode="canonical"), k_max=1, batch_rows=b),
+    "estimate_f n=3 1/3": lambda b: estimate_f(
+        EnumerationSpec(n=3, shard=(1, 3)), batch_rows=b),
+    "ssw2 canonical n=3": lambda b: verify_ssw2(
+        EnumerationSpec(n=3, colours=2, mode="canonical"), batch_rows=b),
+    "sampled n=5 1/3": lambda b: verify_conjecture(
+        EnumerationSpec(n=5, mode="sampled", samples=3000, seed=4, shard=(1, 3)),
+        batch_rows=b),
+    "search rb n=4 1/2": lambda b: search_pattern(4, RB, shard=(1, 2), batch_rows=b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_CAMPAIGNS))
+def test_reports_do_not_depend_on_batch_size(name):
+    run = BATCHED_CAMPAIGNS[name]
+    whole = run(BATCH_ROWS).to_json()
+    for batch_rows in (1, 7, 1000):
+        assert run(batch_rows).to_json() == whole, batch_rows
+
+
+# SHA-256 of to_json() for reports the campaigns have always produced
+# (canonical mode included, from before it ran on the kernel)
+GOLDEN_REPORTS = {
+    "conjecture canonical n=3": (
+        lambda: verify_conjecture(EnumerationSpec(n=3, mode="canonical")),
+        "38057da17fb7feb7ff6c1330dded0a3968ea930668dc0be80a7c5895f4e83c16"),
+    "conjecture canonical filtered n=3": (
+        lambda: verify_conjecture(
+            EnumerationSpec(n=3, mode="canonical", filter="two-colour-vertices")),
+        "49b24055a2c88c0c7a1ee9a6c38a1e680e2359e08a46b9ba092cceecda450212"),
+    "ssw2 canonical n=4": (
+        lambda: verify_ssw2(EnumerationSpec(n=4, colours=2, mode="canonical")),
+        "93689c991aef7aa12a0db8476144e29250b4fe5d56d18debdfc1d1fe04b2faae"),
+    "estimate_f canonical n=3": (
+        lambda: estimate_f(EnumerationSpec(n=3, mode="canonical")),
+        "eb6cd6e86badd26bf013c4210eeaf764504433ff26c8d5b70d2bd435bf5617d9"),
+    "estimate_f canonical n=3 k_max=1": (
+        lambda: estimate_f(EnumerationSpec(n=3, mode="canonical"), k_max=1),
+        "b9bd6ced01baa7c02d226b7e29e0f264e1675946662ea74635d6d339e0d1a4cb"),
+    "conjecture filtered n=4": (
+        lambda: verify_conjecture(EnumerationSpec(n=4, filter="two-colour-vertices")),
+        "3660f70f2d91fc0f6af65d1176083778a42c9c33a9338a7a8153db47e4ba5303"),
+    "estimate_f n=3 k_max=1": (
+        lambda: estimate_f(EnumerationSpec(n=3), k_max=1),
+        "df7c269f43c55571a70c5b2be09cdd711a75dd0cd6b474675a929a31879bebdb"),
+    "conjecture sampled n=6": (
+        lambda: verify_conjecture(
+            EnumerationSpec(n=6, mode="sampled", samples=100000, seed=7)),
+        "884dde4a6d962dbfe2a6f7e0033fb13e87e6d8d04a10a35609587dbaaa22cf29"),
+    "search rb sampled n=6": (
+        lambda: search_pattern(6, RB, mode="sampled", samples=50000, seed=3),
+        "aa1d7b27392d2cfa25b0c5be532532b36a980d4f8a6e0359543ae0231de358f3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_golden_report_digests(name):
+    run, digest = GOLDEN_REPORTS[name]
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest

@@ -17,6 +17,7 @@ from monodom.enumeration import (
     is_canonical,
     matches_filter,
     pattern_pinned_codes,
+    philox_digits,
     sample_block,
     sample_codes,
     shard_indices,
@@ -202,6 +203,17 @@ SAMPLE_BLOCK_DIGESTS = [
 def test_sample_block_golden_digests(n, seed, block, digest):
     spec = EnumerationSpec(n=n, mode="sampled", samples=1, seed=seed)
     assert hashlib.sha256(sample_block(spec, block).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 39892, 2**53 + 1, 2**63, 2**64 - 1])
+def test_short_philox_draw_is_a_block_prefix(seed):
+    # gen draws one row; it must be row 0 of the block campaigns sample from
+    for base in (4, 6):
+        for width in (0, 1, 3, 10, 36, 210):
+            block = philox_digits(seed, base, width, 0, SAMPLE_BLOCK_ROWS)
+            one = philox_digits(seed, base, width, 0, 1)
+            assert one.shape == (1, width)
+            assert (one[0] == block[0]).all()
 
 
 def test_distinct_seeds_draw_distinct_streams():
