@@ -3,7 +3,8 @@
 Subcommands: check, audit, cover (single-instance, reading the matrix file
 format), verify, search (campaigns), gen (seeded instance generation).
 Exit status: 0 completed with no violators or alarms, 1 violator or alarm
-found, 2 usage or input error.
+found, 2 usage or input error, or an internal error (with its traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .auditor import audit
@@ -331,6 +333,10 @@ def run(config: CliConfig) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a bug, not a verdict: never exit 1 for it
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

@@ -221,22 +221,23 @@ def philox_digits(
     return gen.integers(0, base, size=(rows, width), dtype=np.uint8)
 
 
-def sample_block(spec: EnumerationSpec, block: int) -> np.ndarray:
-    """Digits for sample rows [block*65536, (block+1)*65536) as a uint8 array
-    of shape (65536, free slot count).
+def sample_block(
+    spec: EnumerationSpec, block: int, rows: int = SAMPLE_BLOCK_ROWS
+) -> np.ndarray:
+    """Digits for the first `rows` sample rows of block `block`, rows
+    block*65536 onwards, as a uint8 array of shape (rows, free slot count).
 
     All shards of a seed see identical blocks, so slicing rows by index is
-    stable under any shard layout.
+    stable under any shard layout, and a short draw is a prefix of the full
+    block.
     """
-    return philox_digits(
-        spec.seed, spec.base, len(spec.free_slots), block, SAMPLE_BLOCK_ROWS
-    )
+    return philox_digits(spec.seed, spec.base, len(spec.free_slots), block, rows)
 
 
 def sample_codes(spec: EnumerationSpec, index: int) -> tuple[int, ...]:
     """Full code tuple of sample row `index` of the spec's stream."""
     block, row = divmod(index, SAMPLE_BLOCK_ROWS)
-    digits = sample_block(spec, block)[row]
+    digits = sample_block(spec, block, row + 1)[row]
     codes = [0] * len(pair_slots(spec.n))
     for s, code in spec.pinned.items():
         codes[s] = code

@@ -1,12 +1,14 @@
 """Vectorized batch evaluation of domination properties.
 
 Campaigns stream instances as uint8 code arrays of shape (batch, pairs) and
-evaluate whole batches at once.  Each vertex's adjacency is one packed word:
-colour c occupies bits c*n .. c*n+n-1, bit c*n + j set when the vertex beats
-j in colour c.  The word is uint32 when colours * n <= 32 and uint64 up to
-WORD_BITS; EnumerationSpec refuses larger orders.  Decoding is two table
-gathers per pair slot, and one Warshall pass of n steps closes all colour
-planes at once.
+evaluate whole batches at once.  Sampled batches slice each Philox block
+they touch, drawn only as far as the batch needs.  The T_3 screen is one
+lookup per vertex triple into a 216-entry table indexed by the triple's three
+slot codes.  Each vertex's adjacency is one packed word: colour c occupies
+bits c*n .. c*n+n-1, bit c*n + j set when the vertex beats j in colour c.
+The word is uint32 when colours * n <= 32 and uint64 up to WORD_BITS;
+EnumerationSpec refuses larger orders.  Decoding is two table gathers per
+pair slot, and one Warshall pass of n steps closes all colour planes at once.
 
 Everything here is a pure function of the code array; the pure-Python engine
 in the domination module computes the same quantities one instance at a time
@@ -16,7 +18,7 @@ and serves as the cross-check oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -29,7 +31,10 @@ def batch_codes(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
 
     Shard positions count the instances belonging to this spec's shard, in
     increasing global-index order; the result has shape (size, pairs) and
-    matches enumeration one instance at a time.
+    matches enumeration one instance at a time.  In sampled mode the rows of
+    shard k of m inside one sample block are every m-th row of it, so each
+    block is drawn once, only through the last row the batch needs, and
+    sliced; at most one block of digits is held at a time.
     """
     k, m = spec.shard
     P = len(pair_slots(spec.n))
@@ -40,12 +45,16 @@ def batch_codes(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
     if not free:
         return out
     if spec.mode == "sampled":
-        positions = np.arange(start, start + size, dtype=np.int64) * m + k
-        blocks, rows = np.divmod(positions, SAMPLE_BLOCK_ROWS)
-        free_cols = np.array(free, dtype=np.intp)
-        for b in np.unique(blocks):
-            sel = np.flatnonzero(blocks == b)
-            out[sel[:, None], free_cols[None, :]] = sample_block(spec, int(b))[rows[sel]]
+        cols = slice(None) if len(free) == P else np.array(free, dtype=np.intp)
+        index = k + start * m
+        r = 0
+        while r < size:
+            block, first = divmod(index, SAMPLE_BLOCK_ROWS)
+            count = min(size - r, (SAMPLE_BLOCK_ROWS - 1 - first) // m + 1)
+            digits = sample_block(spec, block, first + (count - 1) * m + 1)
+            out[r : r + count, cols] = digits[first::m]
+            r += count
+            index += count * m
         return out
     first = k + start * m
     idx = np.arange(first, first + size * m, m, dtype=np.uint64)
@@ -134,26 +143,48 @@ def any_reach(codes: np.ndarray, n: int, colours: int = 3) -> np.ndarray:
 # -- masks -----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _triangle_table(colours: int, require_cyclic: bool) -> np.ndarray:
+    """Whether the codes (a, b, c) of slots (i, j), (i, k), (j, k) of a
+    triple i < j < k make a rainbow (cyclic, if required) triangle, indexed
+    (a * base + b) * base + c."""
+    base = 2 * colours
+    table = np.zeros(base**3, dtype=bool)
+    for a, b, c in product(range(base), repeat=3):
+        rainbow = len({a % colours, b % colours, c % colours}) == 3
+        if require_cyclic:  # i -> j -> k -> i or its reverse
+            ra, rb, rc = a >= colours, b >= colours, c >= colours
+            rainbow = rainbow and ra == rc and rb != ra
+        table[(a * base + b) * base + c] = rainbow
+    table.flags.writeable = False
+    return table
+
+
 def rainbow_triangle_mask(
     codes: np.ndarray, n: int, colours: int = 3, require_cyclic: bool = True
 ) -> np.ndarray:
-    """Which instances contain a rainbow (default: cyclic rainbow) triangle."""
+    """Which instances contain a rainbow (default: cyclic rainbow) triangle.
+
+    One table lookup per triple: the three slot codes of the triple form an
+    index below base**3 = 216 into a read-only table of rainbow triangles,
+    so the index arithmetic stays in uint8 on a slot-major copy of the codes.
+    """
     B = codes.shape[0]
     found = np.zeros(B, dtype=bool)
     if n < 3 or colours < 3:
         return found
-    col = codes % colours
-    rev = codes >= colours
+    table = _triangle_table(colours, require_cyclic)
+    base = np.uint8(2 * colours)
+    by_slot = np.ascontiguousarray(codes.T, dtype=np.uint8)
+    idx = np.empty(B, dtype=np.uint8)
+    hit = np.empty(B, dtype=bool)
     for i, j, k in combinations(range(n), 3):
-        s1, s2, s3 = slot_index(n, i, j), slot_index(n, i, k), slot_index(n, j, k)
-        c1, c2, c3 = col[:, s1], col[:, s2], col[:, s3]
-        rainbow = (c1 != c2) & (c1 != c3) & (c2 != c3)
-        if require_cyclic:
-            o1, o2, o3 = rev[:, s1], rev[:, s2], rev[:, s3]
-            rainbow &= (o1 == o3) & (o2 != o1)
-        found |= rainbow
-        if found.all():
-            break
+        np.multiply(by_slot[slot_index(n, i, j)], base, out=idx)
+        idx += by_slot[slot_index(n, i, k)]
+        idx *= base
+        idx += by_slot[slot_index(n, j, k)]
+        table.take(idx, out=hit)
+        found |= hit
     return found
 
 
@@ -185,16 +216,19 @@ def qualifying_cycle_mask(reach: np.ndarray, n: int) -> np.ndarray:
     nd = full & ~covered
     singleton = (nd != 0) & ((nd & (nd - 1)) == 0)
     ok = singleton.all(axis=1)
+    cand = np.flatnonzero(ok)  # the walk runs only where the map exists
+    nd = nd[cand]
     pred = np.zeros_like(nd, dtype=np.int8)
     for j in range(n):
         pred[nd == (1 << j)] = j
-    pos = np.zeros(B, dtype=np.int8)
-    rows = np.arange(B)
+    pos = np.zeros(len(cand), dtype=np.int8)
+    rows = np.arange(len(cand))
+    cycle = np.ones(len(cand), dtype=bool)
     for step in range(1, n + 1):
         pos = pred[rows, pos]
         if step < n:
-            ok &= pos != 0
-    ok &= pos == 0
+            cycle &= pos != 0
+    ok[cand] = cycle & (pos == 0)
     return ok
 
 

@@ -240,6 +240,18 @@ def test_exit_1_on_alarm(capsys, monkeypatch):
     assert status == 1
 
 
+def test_internal_error_exits_2_not_1(capsys, monkeypatch):
+    def broken(*a, **k):
+        raise RuntimeError("kernel fell over")
+
+    monkeypatch.setattr(cli, "run_parallel", broken)
+    status, out, err = run_cli(capsys, "verify", "--order", "3")
+    assert status == 2
+    assert out == ""
+    assert "error: internal error: RuntimeError: kernel fell over" in err
+    assert "Traceback" in err
+
+
 def test_config_from_args_defaults():
     args = cli.build_parser().parse_args(["verify", "--order", "5"])
     cfg = cli.config_from_args(args)

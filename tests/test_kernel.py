@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monodom.auditor import genhamilton_check
-from monodom.core import ColouredTournament
+from monodom.core import Colour, ColouredTournament, pair_slots
 from monodom.domination import (
     at_most_two_everywhere,
     domination_relation,
@@ -14,7 +14,12 @@ from monodom.domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from monodom.enumeration import EnumerationSpec, enumerate_instances
+from monodom.enumeration import (
+    SAMPLE_BLOCK_ROWS,
+    EnumerationSpec,
+    enumerate_instances,
+    sample_block,
+)
 from monodom.kernel import (
     any_reach,
     batch_codes,
@@ -66,8 +71,6 @@ def test_batch_codes_sampled_matches_sample_stream():
 
 
 def test_batch_codes_sampled_pattern_pins_columns():
-    from monodom.core import Colour
-
     spec = EnumerationSpec(
         n=6, mode="sampled", samples=200, seed=1,
         pattern=(Colour.RED, Colour.GREEN, Colour.BLUE),
@@ -75,6 +78,45 @@ def test_batch_codes_sampled_pattern_pins_columns():
     rows = batch_codes(spec, 0, 200)
     for i, t in enumerate_instances(spec):
         assert list(rows[i]) == t.to_codes()
+
+
+SAMPLED_SHARDS = [
+    # (order, pattern, shard); a modulus of 65536 keeps one row offset in
+    # every block, and 70001 leaves at most one row per block
+    (4, None, (0, 1)),
+    (4, None, (2, 3)),
+    (4, None, (6, 7)),
+    (4, None, (100, 65536)),
+    (4, None, (5, 70001)),
+    (6, (Colour.RED, Colour.GREEN, Colour.BLUE), (1, 3)),
+]
+
+
+@pytest.mark.parametrize("n,pattern,shard", SAMPLED_SHARDS)
+def test_batch_codes_sampled_slices_blocks(n, pattern, shard):
+    """Sampled batches equal the sample_block rows of the same global
+    indices, for batches starting mid-block, crossing block boundaries and
+    holding one row."""
+    spec = EnumerationSpec(n=n, mode="sampled", samples=4 * SAMPLE_BLOCK_ROWS + 123,
+                           seed=29, pattern=pattern, shard=shard)
+    k, m = shard
+    size = spec.shard_size()
+    stream = np.concatenate([sample_block(spec, b) for b in range(5)])
+    ref = np.empty((size, len(pair_slots(n))), dtype=np.uint8)
+    ref[:, spec.free_slots] = stream[k::m][:size]
+    for s, code in spec.pinned.items():
+        ref[:, s] = code
+    assert np.array_equal(batch_codes(spec, 0, size), ref)
+    step = 40000  # batches of 40000 rows start mid-block and cross boundaries
+    for start in range(0, size, step):
+        got = batch_codes(spec, start, min(step, size - start))
+        assert np.array_equal(got, ref[start : start + step])
+    # one-row batches on both sides of every block boundary
+    for b in range(1, 5):
+        first = -(-(b * SAMPLE_BLOCK_ROWS - k) // m)  # first position in block b
+        for p in (first - 1, first, first + 1):
+            if 0 <= p < size:
+                assert np.array_equal(batch_codes(spec, p, 1), ref[p : p + 1])
 
 
 def test_closure_rows_matches_bfs_oracle():
@@ -156,6 +198,23 @@ def test_masks_match_engine_seeded():
                     find_rainbow_triangle(t, require_cyclic=False) is not None
                 )
                 assert bool(two[r]) == at_most_two_everywhere(t)
+
+
+def test_rainbow_table_exhaustive_n3():
+    """All 216 instances on 3 vertices hit each entry of the T_3 table once."""
+    spec = EnumerationSpec(n=3)
+    codes = batch_codes(spec, 0, 216)
+    entries = (codes[:, 0].astype(int) * 6 + codes[:, 1]) * 6 + codes[:, 2]
+    assert sorted(entries) == list(range(216))
+    masks = {cyclic: rainbow_triangle_mask(codes, 3, require_cyclic=cyclic)
+             for cyclic in (True, False)}
+    assert int(masks[True].sum()) == 12 and int(masks[False].sum()) == 48
+    qual = qualifying_cycle_mask(any_reach(codes, 3), 3)
+    for r, row in enumerate(codes):
+        t = ColouredTournament.from_codes(3, list(row))
+        for cyclic, mask in masks.items():
+            assert bool(mask[r]) == (find_rainbow_triangle(t, require_cyclic=cyclic) is not None)
+        assert bool(qual[r]) == genhamilton_check(t).holds
 
 
 def test_qualifying_mask_counts_n3_n4():
