@@ -133,10 +133,10 @@ def genhamilton_check(
     """Search for a Hamilton cycle on which every vertex dominates every
     vertex except its predecessor (and fails to dominate that predecessor).
 
-    Backtracking over cycle sequences pinned at v_0 = 0 (kills rotations);
-    a vertex may follow u only if u is exactly its unique non-dominated
-    vertex, which prunes the search to the forced predecessor map.  Counts
-    every qualifying rotation-distinct cycle rather than assuming uniqueness.
+    Such a cycle exists iff every vertex misses exactly one vertex, its
+    forced predecessor, and the walk from vertex 0 along that map first
+    returns to 0 after n steps; the cycle is then unique up to rotation and
+    its arcs are forced (v not dominating u implies the arc u -> v).
     """
     n = t.n
     if n > GENHAMILTON_VERTEX_LIMIT:
@@ -145,30 +145,13 @@ def genhamilton_check(
     if n < 3:
         return GenHamiltonResult(False, None, 0, {"reason": "no_directed_cycle_possible"})
     nd = _non_dominated_masks(t, rel)
-
-    cycles: list[tuple[int, ...]] = []
-    path = [0]
-    used = 1
-
-    def extend() -> None:
-        nonlocal used
-        u = path[-1]
-        if len(path) == n:
-            if t.beats(u, 0) and nd[0] == 1 << u:
-                cycles.append(tuple(path))
-            return
-        for v in range(1, n):
-            if used >> v & 1 or not t.beats(u, v) or nd[v] != 1 << u:
-                continue
-            path.append(v)
-            used |= 1 << v
-            extend()
-            path.pop()
-            used ^= 1 << v
-
-    extend()
-    if cycles:
-        return GenHamiltonResult(True, cycles[0], len(cycles))
+    if all(m and not m & (m - 1) for m in nd):
+        pred = [m.bit_length() - 1 for m in nd]
+        walk = [0]
+        while len(walk) < n and pred[walk[-1]] != 0:
+            walk.append(pred[walk[-1]])
+        if len(walk) == n and pred[walk[-1]] == 0:
+            return GenHamiltonResult(True, (0, *reversed(walk[1:])), 1)
     return GenHamiltonResult(False, None, 0, _genhamilton_diagnosis(t, nd))
 
 

@@ -7,10 +7,10 @@ exactly the result of the unsharded run: counts add, violator lists interleave
 by global index, extremal witnesses keep the lowest-index representative.
 
 Every campaign is a per-batch evaluator of kernel masks that one shared
-scan (`_Scan`) runs in every mode: canonical mode only drops the rows that
-are not their orbit's representative before the evaluator sees the batch.
-Expected violator counts are zero throughout, so violator storage is capped
-(the count is exact).
+scan (`_Scan`) runs in every mode; the only rows it drops before the
+evaluator sees a batch are those the vertex filter rejects.  Expected
+violator counts are zero throughout, so violator storage is capped (the
+count is exact).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
 from .domination import min_cover
-from .enumeration import EnumerationSpec, is_canonical
+from .enumeration import EnumerationSpec
 from . import kernel
 
 BATCH_ROWS = 1 << 20
@@ -121,11 +121,11 @@ class _Scan:
     """One walk over a spec's shard, feeding each batch to a campaign's
     per-batch evaluator.
 
-    The scan owns everything campaigns share: batch codes, canonical-mode row
-    selection, the vertex filter, the enumerated/examined counts, mapping rows
-    to global indices, capped violator recording, lowest-index witnesses,
-    progress and timing.  An evaluator sees only the examined rows of a batch
-    and names them by row number within that array.
+    The scan owns everything campaigns share: batch codes, the vertex
+    filter, the enumerated/examined counts, mapping rows to global indices,
+    capped violator recording, lowest-index witnesses, progress and timing.
+    An evaluator sees only the examined rows of a batch and names them by
+    row number within that array.
     """
 
     def __init__(self, spec: EnumerationSpec, batch_rows: int, progress: int):
@@ -152,17 +152,12 @@ class _Scan:
         for start in range(0, total, self.batch_rows):
             size = min(self.batch_rows, total - start)
             codes = kernel.batch_codes(spec, start, size)
+            self.counts["enumerated"] += size
             rows = None
-            if spec.mode == "canonical":
-                rows = np.flatnonzero([is_canonical(self._tournament(c))
-                                       for c in codes])
-                codes = codes[rows]
-            self.counts["enumerated"] += len(codes)
             if spec.filter == "two-colour-vertices":
-                keep = np.flatnonzero(
+                rows = np.flatnonzero(
                     kernel.two_colour_vertices_mask(codes, spec.n, spec.colours))
-                rows = keep if rows is None else rows[keep]
-                codes = codes[keep]
+                codes = codes[rows]
             self.counts["examined"] += len(codes)
             self._start, self._rows, self._codes = start, rows, codes
             evaluate(self, codes)
@@ -175,11 +170,6 @@ class _Scan:
             elapsed=time.time() - t0,
         )
 
-    def _tournament(self, codes_row: np.ndarray) -> ColouredTournament:
-        return ColouredTournament.from_codes(
-            self.spec.n, codes_row.tolist(), colours=self.spec.colours
-        )
-
     def index(self, row: int) -> int:
         """Global index of an examined row of the current batch."""
         k, m = self.spec.shard
@@ -187,7 +177,9 @@ class _Scan:
         return k + position * m
 
     def instance(self, row: int) -> ColouredTournament:
-        return self._tournament(self._codes[row])
+        return ColouredTournament.from_codes(
+            self.spec.n, self._codes[row].tolist(), colours=self.spec.colours
+        )
 
     def _entry(self, row: int) -> dict:
         return {"index": self.index(row), "instance": serialize(self.instance(row))}
@@ -305,8 +297,6 @@ def search_pattern(
     if budget is not None:
         kwargs["budget"] = budget
     spec = EnumerationSpec(**kwargs)
-    if mode == "canonical":
-        raise ValueError("pattern searches run exhaustive or sampled")
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         reach = kernel.any_reach(codes, spec.n)

@@ -32,7 +32,7 @@ from .domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from .enumeration import BudgetExceededError, EnumerationSpec, philox_digits
+from .enumeration import MODES, BudgetExceededError, EnumerationSpec, philox_digits
 
 PROGRESS_THRESHOLD = 10**7
 PROGRESS_EVERY = 10**6
@@ -66,6 +66,13 @@ def _parse_shard(text: str) -> tuple[int, int]:
         return int(k), int(m)
     except ValueError:
         raise argparse.ArgumentTypeError(f"shard must look like K/M, got {text!r}")
+
+
+def _parse_workers(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"workers must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_pattern(text: str) -> tuple[Colour, ...]:
@@ -109,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification campaign")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--colours", type=int, choices=(2, 3), default=3)
-    sp.add_argument("--mode", choices=("exhaustive", "canonical", "sampled"),
-                    default="exhaustive")
+    sp.add_argument("--mode", choices=MODES, default="exhaustive")
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", choices=("none", "two-colour-vertices"),
                     default="none")
     sp.add_argument("--cyclic", choices=("on", "off"), default="on")
-    sp.add_argument("--workers", type=int, default=0,
+    sp.add_argument("--workers", type=_parse_workers, default=0,
                     help="0 picks the machine's CPU count")
     add_format(sp)
 
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--pattern", type=_parse_pattern, required=True,
                     help="cycle colour pattern, e.g. rb or rgb")
-    sp.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    sp.add_argument("--mode", choices=MODES, default="exhaustive")
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")

@@ -1,13 +1,12 @@
-"""Enumeration of coloured tournaments: exhaustive, canonical, sampled.
+"""Enumeration of coloured tournaments: exhaustive and sampled.
 
 Every labelled instance on n vertices corresponds to one mixed-radix integer:
 pair slots in lexicographic order are base-(2*colours) digits, slot 0 least
 significant, digit = orientation * colours + colour.  Exhaustive mode counts
 through these integers; shard k of m takes the residue class k mod m, so
-shards partition the space exactly.  Canonical mode keeps only instances
-whose own digit string is the lexicographic minimum over vertex relabellings.
-Sampled mode draws digits uniformly from a Philox counter-based generator in
-fixed 65536-row blocks, so shards of one seed slice the same stream.
+shards partition the space exactly.  Sampled mode draws digits uniformly
+from a Philox counter-based generator in fixed 65536-row blocks, so shards of
+one seed slice the same stream.
 """
 
 from __future__ import annotations
@@ -17,22 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (
-    CANONICAL_DEFAULT_LIMIT,
-    Colour,
-    ColouredTournament,
-    canonical_key,
-    pair_slots,
-    slot_index,
-)
+from .core import Colour, ColouredTournament, pair_slots, slot_index
 
 SAMPLE_BLOCK_ROWS = 65536
 
-MODES = ("exhaustive", "canonical", "sampled")
+MODES = ("exhaustive", "sampled")
 FILTERS = ("none", "two-colour-vertices")
 
 DEFAULT_BUDGET = 10**8
-CANONICAL_ENUMERATION_LIMIT = 6
 WORD_BITS = 64  # the batch kernel packs colours * n bits into one word
 
 
@@ -90,6 +81,10 @@ class EnumerationSpec:
         if m < 1 or not 0 <= k < m:
             raise ValueError(f"invalid shard {k}/{m}")
         if self.pattern is not None:
+            if not self.pattern:
+                raise ValueError("pattern needs at least one colour")
+            if self.n < 3:
+                raise ValueError("a patterned Hamilton cycle needs order >= 3")
             if any(int(c) >= self.colours for c in self.pattern):
                 raise ValueError("pattern colour outside the palette")
             pattern_pinned_codes(self.n, self.pattern)  # validates divisibility
@@ -98,11 +93,7 @@ class EnumerationSpec:
                 raise ValueError("sampled mode needs samples >= 1")
         elif self.samples:
             raise ValueError("samples only meaningful in sampled mode")
-        if self.mode == "canonical" and self.n > CANONICAL_ENUMERATION_LIMIT:
-            raise ValueError(
-                f"canonical mode supported for n <= {CANONICAL_ENUMERATION_LIMIT}"
-            )
-        if self.mode in ("exhaustive", "canonical") and self.space > self.budget:
+        if self.mode == "exhaustive" and self.space > self.budget:
             raise BudgetExceededError(
                 f"exhaustive space {self.space} exceeds budget {self.budget}; "
                 "use sampled mode"
@@ -246,17 +237,6 @@ def sample_codes(spec: EnumerationSpec, index: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-# -- canonical filtering ---------------------------------------------------------
-
-
-def is_canonical(t: ColouredTournament) -> bool:
-    """Is this instance its own orbit representative (lex-least codes over
-    vertex relabellings)?"""
-    key = canonical_key(t, limit=CANONICAL_DEFAULT_LIMIT)
-    own = b"%d:" % t.n + bytes(t.to_codes())
-    return own == key
-
-
 # -- streams ---------------------------------------------------------------------
 
 
@@ -267,22 +247,17 @@ def enumerate_instances(
     instance at a time.
 
     Campaigns scan batches from kernel.batch_codes instead; this stream is
-    the oracle tests check those batches and the campaigns' canonical-mode
-    row selection against.  The index is the mixed-radix integer in
-    exhaustive and canonical modes and the sample position in sampled mode;
-    it is the deterministic tie-break key used by campaign reports.
+    the oracle tests check those batches against.  The index is the
+    mixed-radix integer in exhaustive mode and the sample position in sampled
+    mode; it is the deterministic tie-break key used by campaign reports.
     """
-    if spec.mode == "sampled":
-        for index in shard_indices(spec):
+    for index in shard_indices(spec):
+        if spec.mode == "sampled":
             yield index, ColouredTournament.from_codes(
                 spec.n, sample_codes(spec, index), colours=spec.colours
             )
-        return
-    for index in shard_indices(spec):
-        t = instance_at(spec, index)
-        if spec.mode == "canonical" and not is_canonical(t):
-            continue
-        yield index, t
+        else:
+            yield index, instance_at(spec, index)
 
 
 def matches_filter(spec: EnumerationSpec, t: ColouredTournament) -> bool:

@@ -33,12 +33,6 @@ def test_conjecture_exhaustive_n4():
     assert r.counts == {"enumerated": 46656, "examined": 46656, "violations": 0}
 
 
-def test_conjecture_canonical_n3():
-    r = verify_conjecture(EnumerationSpec(n=3, mode="canonical"))
-    assert r.counts["examined"] == 38
-    assert r.counts["violations"] == 0
-
-
 def test_conjecture_non_cyclic_variant():
     r = verify_conjecture(EnumerationSpec(n=3), require_cyclic=False)
     assert r.counts["violations"] == 0
@@ -162,11 +156,6 @@ def test_search_pattern_sampled_deterministic():
     assert a.counts["violations"] == 0
 
 
-def test_search_pattern_rejects_canonical():
-    with pytest.raises(ValueError):
-        search_pattern(3, RGB, mode="canonical")
-
-
 def test_run_parallel_matches_direct():
     spec = EnumerationSpec(n=4)
     direct = verify_conjecture(spec)
@@ -206,18 +195,15 @@ def test_violations_property_counts_alarms():
 
 
 # each campaign over several batches: rows map to global indices across batch
-# boundaries, also where canonical mode or the vertex filter drops rows
+# boundaries, also where the vertex filter drops rows
 BATCHED_CAMPAIGNS = {
-    "canonical n=3 1/2": lambda b: verify_conjecture(
-        EnumerationSpec(n=3, mode="canonical", shard=(1, 2)), batch_rows=b),
     "filtered n=4 2/5": lambda b: verify_conjecture(
         EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), batch_rows=b),
-    "estimate_f canonical n=3 k_max=1": lambda b: estimate_f(
-        EnumerationSpec(n=3, mode="canonical"), k_max=1, batch_rows=b),
+    "estimate_f filtered n=4 2/5 k_max=1": lambda b: estimate_f(
+        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), k_max=1,
+        batch_rows=b),
     "estimate_f n=3 1/3": lambda b: estimate_f(
         EnumerationSpec(n=3, shard=(1, 3)), batch_rows=b),
-    "ssw2 canonical n=3": lambda b: verify_ssw2(
-        EnumerationSpec(n=3, colours=2, mode="canonical"), batch_rows=b),
     "sampled n=5 1/3": lambda b: verify_conjecture(
         EnumerationSpec(n=5, mode="sampled", samples=3000, seed=4, shard=(1, 3)),
         batch_rows=b),
@@ -234,24 +220,14 @@ def test_reports_do_not_depend_on_batch_size(name):
 
 
 # SHA-256 of to_json() for reports the campaigns have always produced
-# (canonical mode included, from before it ran on the kernel)
 GOLDEN_REPORTS = {
-    "conjecture canonical n=3": (
-        lambda: verify_conjecture(EnumerationSpec(n=3, mode="canonical")),
-        "38057da17fb7feb7ff6c1330dded0a3968ea930668dc0be80a7c5895f4e83c16"),
-    "conjecture canonical filtered n=3": (
-        lambda: verify_conjecture(
-            EnumerationSpec(n=3, mode="canonical", filter="two-colour-vertices")),
-        "49b24055a2c88c0c7a1ee9a6c38a1e680e2359e08a46b9ba092cceecda450212"),
-    "ssw2 canonical n=4": (
-        lambda: verify_ssw2(EnumerationSpec(n=4, colours=2, mode="canonical")),
-        "93689c991aef7aa12a0db8476144e29250b4fe5d56d18debdfc1d1fe04b2faae"),
-    "estimate_f canonical n=3": (
-        lambda: estimate_f(EnumerationSpec(n=3, mode="canonical")),
-        "eb6cd6e86badd26bf013c4210eeaf764504433ff26c8d5b70d2bd435bf5617d9"),
-    "estimate_f canonical n=3 k_max=1": (
-        lambda: estimate_f(EnumerationSpec(n=3, mode="canonical"), k_max=1),
-        "b9bd6ced01baa7c02d226b7e29e0f264e1675946662ea74635d6d339e0d1a4cb"),
+    "ssw2 n=4": (
+        lambda: verify_ssw2(EnumerationSpec(n=4, colours=2)),
+        "936c60a1e0e109bc94a23730b1252a9467bb90067fa102dee195636708dc6fe5"),
+    "estimate_f filtered n=4 2/5 k_max=1": (
+        lambda: estimate_f(
+            EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), k_max=1),
+        "63d88bf16ae62e1281660e5cf5217972f8aac7a72e01c1223cbdf58007ca9051"),
     "conjecture filtered n=4": (
         lambda: verify_conjecture(EnumerationSpec(n=4, filter="two-colour-vertices")),
         "3660f70f2d91fc0f6af65d1176083778a42c9c33a9338a7a8153db47e4ba5303"),

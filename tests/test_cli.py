@@ -215,6 +215,29 @@ def test_exit_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["nonsense"])
     assert e.value.code == 2
+    capsys.readouterr()
+    for argv, message in (
+        (["verify", "--order", "3", "--mode", "canonical"], "invalid choice"),
+        (["verify", "--order", "3", "--workers", "-1"], "non-negative integer"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_exit_2_on_degenerate_pattern(capsys):
+    for order, pattern, message in (
+        ("6", "", "at least one colour"),
+        ("1", "r", "order >= 3"),
+        ("2", "rb", "order >= 3"),
+    ):
+        status, out, err = run_cli(capsys, "search", "--order", order,
+                                   "--pattern", pattern)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_exit_1_on_violator(capsys, monkeypatch):

@@ -1,11 +1,11 @@
-"""Enumeration geometry, sharding, sampling, canonical filtering."""
+"""Enumeration geometry, sharding, sampling, vertex filtering."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from monodom.core import Colour, ColouredTournament, canonical_key
+from monodom.core import Colour, ColouredTournament
 from monodom.enumeration import (
     SAMPLE_BLOCK_ROWS,
     BudgetExceededError,
@@ -14,7 +14,6 @@ from monodom.enumeration import (
     enumerate_instances,
     index_to_codes,
     instance_at,
-    is_canonical,
     matches_filter,
     pattern_pinned_codes,
     philox_digits,
@@ -90,12 +89,19 @@ def test_spec_validation():
         EnumerationSpec(n=3, mode="sampled")  # needs samples
     with pytest.raises(ValueError):
         EnumerationSpec(n=3, samples=5)  # samples outside sampled mode
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'canonical'"):
         EnumerationSpec(n=7, mode="canonical")
     with pytest.raises(ValueError):
         EnumerationSpec(n=3, colours=2, pattern=RGB)  # green outside palette
     with pytest.raises(ValueError):
         EnumerationSpec(n=4, pattern=RGB)  # period does not divide order
+    with pytest.raises(ValueError, match="at least one colour"):
+        EnumerationSpec(n=6, pattern=())
+    # a Hamilton cycle needs 3 vertices: at n=2 the closing arc would
+    # overwrite the pinned arc 0 -> 1
+    for n, pattern in ((1, (Colour.RED,)), (2, RB)):
+        with pytest.raises(ValueError, match="order >= 3"):
+            EnumerationSpec(n=n, pattern=pattern)
 
 
 def test_word_width_limit():
@@ -240,24 +246,6 @@ def test_sampled_respects_pattern():
         assert t.arc_colour(0, 1) is Colour.RED
         assert t.arc_colour(1, 2) is Colour.GREEN
         assert t.arc_colour(5, 0) is Colour.BLUE
-
-
-def test_is_canonical_orbit_representatives():
-    reps = 0
-    for index, t in enumerate_instances(EnumerationSpec(n=3)):
-        if is_canonical(t):
-            reps += 1
-    assert reps == 38  # one per relabelling class, frozen census
-
-
-def test_canonical_mode_streams_representatives_only():
-    spec = EnumerationSpec(n=3, mode="canonical")
-    out = list(enumerate_instances(spec))
-    assert len(out) == 38
-    keys = {canonical_key(t) for _, t in out}
-    assert len(keys) == 38
-    for _, t in out:
-        assert is_canonical(t)
 
 
 def test_filter_two_colour_vertices():
