@@ -8,9 +8,11 @@ by global index, extremal witnesses keep the lowest-index representative.
 
 Every campaign is a per-batch evaluator of kernel masks that one shared
 scan (`_Scan`) runs in every mode; the only rows it drops before the
-evaluator sees a batch are those the vertex filter rejects.  Expected
-violator counts are zero throughout, so violator storage is capped (the
-count is exact).
+evaluator sees a batch are those the vertex filter rejects.  Batches hold
+BATCH_ROWS = 2^15 rows, so a batch's codes, index arithmetic and reach
+words stay in a core's L2 cache; a sampled scan draws each Philox block
+once and slices every batch from it.  Expected violator counts are zero
+throughout, so violator storage is capped (the count is exact).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .domination import min_cover
 from .enumeration import EnumerationSpec
 from . import kernel
 
-BATCH_ROWS = 1 << 20
+BATCH_ROWS = 1 << 15
 VIOLATOR_CAP = 100
 
 
@@ -121,9 +123,10 @@ class _Scan:
     """One walk over a spec's shard, feeding each batch to a campaign's
     per-batch evaluator.
 
-    The scan owns everything campaigns share: batch codes, the vertex
-    filter, the enumerated/examined counts, mapping rows to global indices,
-    capped violator recording, lowest-index witnesses, progress and timing.
+    The scan owns everything campaigns share: batch codes (and the sample
+    block a sampled scan is in), the vertex filter, the enumerated/examined
+    counts, mapping rows to global indices, capped violator recording,
+    lowest-index witnesses, progress and timing.
     An evaluator sees only the examined rows of a batch and names them by
     row number within that array.
     """
@@ -148,16 +151,17 @@ class _Scan:
         t0 = time.time()
         k, m = spec.shard
         total = spec.shard_size()
+        blocks = kernel.SampleBlocks(spec, total) if spec.mode == "sampled" else None
         next_mark = self.progress
         for start in range(0, total, self.batch_rows):
             size = min(self.batch_rows, total - start)
-            codes = kernel.batch_codes(spec, start, size)
+            codes = kernel.batch_codes(spec, start, size, blocks)
             self.counts["enumerated"] += size
             rows = None
             if spec.filter == "two-colour-vertices":
                 rows = np.flatnonzero(
                     kernel.two_colour_vertices_mask(codes, spec.n, spec.colours))
-                codes = codes[rows]
+                codes = kernel.take_rows(codes, rows)
             self.counts["examined"] += len(codes)
             self._start, self._rows, self._codes = start, rows, codes
             evaluate(self, codes)
@@ -214,10 +218,10 @@ def verify_conjecture(
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         t3 = kernel.rainbow_triangle_mask(codes, spec.n, require_cyclic=require_cyclic)
-        bad = ~t3
-        if bad.any():
-            reach = kernel.any_reach(codes[bad], spec.n)
-            scan.record(np.flatnonzero(bad)[~kernel.dominating_vertex_mask(reach, spec.n)])
+        bad = np.flatnonzero(~t3)
+        if len(bad):
+            reach = kernel.any_reach(kernel.take_rows(codes, bad), spec.n)
+            scan.record(bad[~kernel.dominating_vertex_mask(reach, spec.n)])
 
     return _Scan(spec, batch_rows, progress).run(evaluate)
 
@@ -296,12 +300,20 @@ def search_pattern(
     )
     if budget is not None:
         kwargs["budget"] = budget
-    spec = EnumerationSpec(**kwargs)
+    return screen_and_audit(EnumerationSpec(**kwargs), progress, batch_rows)
+
+
+def screen_and_audit(
+    spec: EnumerationSpec, progress: int = 0, batch_rows: int = BATCH_ROWS
+) -> CampaignResult:
+    """The search screen over any spec: rows with a qualifying cycle, no
+    cyclic rainbow triangle and no dominating vertex are weak violators,
+    and each gets the full audit; all-conditions-pass audits are alarms."""
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        reach = kernel.any_reach(codes, spec.n)
+        reach = kernel.any_reach(codes, spec.n, spec.colours)
         qual = kernel.qualifying_cycle_mask(reach, spec.n)
-        t3 = kernel.rainbow_triangle_mask(codes, spec.n)
+        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours)
         dom = kernel.dominating_vertex_mask(reach, spec.n)
         failures = scan.check_failures
         failures["t3"] += int(t3.sum())

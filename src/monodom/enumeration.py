@@ -24,6 +24,7 @@ MODES = ("exhaustive", "sampled")
 FILTERS = ("none", "two-colour-vertices")
 
 DEFAULT_BUDGET = 10**8
+INDEX_LIMIT = 2**63  # global indices fit one signed 64-bit integer
 WORD_BITS = 64  # the batch kernel packs colours * n bits into one word
 
 
@@ -98,6 +99,9 @@ class EnumerationSpec:
                 f"exhaustive space {self.space} exceeds budget {self.budget}; "
                 "use sampled mode"
             )
+        if self.index_count > INDEX_LIMIT:
+            raise ValueError(f"{self.mode} index space {self.index_count} exceeds "
+                             "the campaign index limit 2**63")
 
     # -- geometry ------------------------------------------------------------
 
@@ -164,13 +168,6 @@ def index_to_codes(spec: EnumerationSpec, index: int) -> tuple[int, ...]:
         index, digit = divmod(index, spec.base)
         codes[s] = digit
     return tuple(codes)
-
-
-def codes_to_index(spec: EnumerationSpec, codes: tuple[int, ...]) -> int:
-    index = 0
-    for s in reversed(spec.free_slots):
-        index = index * spec.base + codes[s]
-    return index
 
 
 def instance_at(spec: EnumerationSpec, index: int) -> ColouredTournament:
@@ -258,11 +255,3 @@ def enumerate_instances(
             )
         else:
             yield index, instance_at(spec, index)
-
-
-def matches_filter(spec: EnumerationSpec, t: ColouredTournament) -> bool:
-    if spec.filter == "two-colour-vertices":
-        from .domination import at_most_two_everywhere
-
-        return at_most_two_everywhere(t)
-    return True

@@ -1,14 +1,17 @@
 """Vectorized batch evaluation of domination properties.
 
-Campaigns stream instances as uint8 code arrays of shape (batch, pairs) and
-evaluate whole batches at once.  Sampled batches slice each Philox block
-they touch, drawn only as far as the batch needs.  The T_3 screen is one
-lookup per vertex triple into a 216-entry table indexed by the triple's three
-slot codes.  Each vertex's adjacency is one packed word: colour c occupies
-bits c*n .. c*n+n-1, bit c*n + j set when the vertex beats j in colour c.
-The word is uint32 when colours * n <= 32 and uint64 up to WORD_BITS;
-EnumerationSpec refuses larger orders.  Decoding is two table gathers per
-pair slot, and one Warshall pass of n steps closes all colour planes at once.
+Campaigns stream instances as uint8 code arrays of shape (batch, pairs),
+stored slot-major, and evaluate whole batches at once.  Exhaustive codes
+split each index once per run of five free slots and gather the run's
+digits from a read-only table; sampled batches slice the Philox blocks
+they touch, and a scan draws each block once (SampleBlocks).  The T_3
+screen is one lookup per vertex triple into a 216-entry table indexed by
+the triple's three slot codes.  Each vertex's adjacency is one packed
+word: colour c occupies bits c*n .. c*n+n-1, bit c*n + j set when the
+vertex beats j in colour c.  The word is uint32 when colours * n <= 32 and
+uint64 up to WORD_BITS; EnumerationSpec refuses larger orders.  Decoding
+is two table gathers per pair slot, and one Warshall pass of n steps
+closes all colour planes at once.
 
 Everything here is a pure function of the code array; the pure-Python engine
 in the domination module computes the same quantities one instance at a time
@@ -26,44 +29,112 @@ from .core import pair_slots, slot_index
 from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_block
 
 
-def batch_codes(spec: EnumerationSpec, start: int, size: int) -> np.ndarray:
+DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
+
+
+@lru_cache(maxsize=None)
+def _digit_table(base: int, width: int) -> np.ndarray:
+    """Digit j of every integer below base**width, least significant first,
+    in row j: shape (width, base**width), so each digit's column of the
+    (base**width, width) digit table is one contiguous row."""
+    powers = base ** np.arange(width, dtype=np.int64)[:, None]
+    table = (np.arange(base**width, dtype=np.int64) // powers % base).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+class SampleBlocks:
+    """The sample block one scan of a sampled shard is in.
+
+    A scan covering shard positions [0, stop) draws each block it touches
+    once, through the last row the whole scan needs from it, and keeps it
+    until a batch asks for another block.  One instance serves one scan;
+    nothing is shared between scans.
+    """
+
+    def __init__(self, spec: EnumerationSpec, stop: int):
+        k, m = spec.shard
+        self.spec = spec
+        self.last = k + (stop - 1) * m  # last global index the scan reads
+        self.block = -1
+        self.digits: np.ndarray | None = None
+
+    def get(self, block: int) -> np.ndarray:
+        if block != self.block:
+            k, m = self.spec.shard
+            top = min(self.last, (block + 1) * SAMPLE_BLOCK_ROWS - 1)
+            top -= (top - k) % m  # the scan's last row in this block
+            self.block = block
+            self.digits = sample_block(self.spec, block, top - block * SAMPLE_BLOCK_ROWS + 1)
+        return self.digits
+
+
+def batch_codes(
+    spec: EnumerationSpec, start: int, size: int, blocks: SampleBlocks | None = None
+) -> np.ndarray:
     """Codes of `size` consecutive shard positions starting at `start`.
 
     Shard positions count the instances belonging to this spec's shard, in
     increasing global-index order; the result has shape (size, pairs) and
-    matches enumeration one instance at a time.  In sampled mode the rows of
-    shard k of m inside one sample block are every m-th row of it, so each
-    block is drawn once, only through the last row the batch needs, and
-    sliced; at most one block of digits is held at a time.
+    matches enumeration one instance at a time.  It is a transposed view of
+    slot-major storage, so each slot's column is contiguous, as the T_3
+    mask and decode_rows read it.
+
+    Exhaustive mode splits each index once per run of DIGIT_RUN free slots
+    of one base and gathers the run's digits from a read-only digit table
+    of base**width entries.  In sampled mode the rows of shard k of m
+    inside one sample block are every m-th row of it; `blocks` is the
+    scan's SampleBlocks, so a scan draws each block once.  Without it the
+    call draws each block it touches through the last row it needs.
     """
     k, m = spec.shard
     P = len(pair_slots(spec.n))
-    out = np.empty((size, P), dtype=np.uint8)
+    out = np.empty((P, size), dtype=np.uint8)
     for s, code in spec.pinned.items():
-        out[:, s] = code
+        out[s] = code
     free = spec.free_slots
     if not free:
-        return out
+        return out.T
     if spec.mode == "sampled":
-        cols = slice(None) if len(free) == P else np.array(free, dtype=np.intp)
+        slots = slice(None) if len(free) == P else np.array(free, dtype=np.intp)
+        blocks = blocks or SampleBlocks(spec, start + size)
         index = k + start * m
         r = 0
         while r < size:
             block, first = divmod(index, SAMPLE_BLOCK_ROWS)
             count = min(size - r, (SAMPLE_BLOCK_ROWS - 1 - first) // m + 1)
-            digits = sample_block(spec, block, first + (count - 1) * m + 1)
-            out[r : r + count, cols] = digits[first::m]
+            digits = blocks.get(block)[first : first + (count - 1) * m + 1 : m]
+            out[slots, r : r + count] = digits.T
             r += count
             index += count * m
-        return out
-    first = k + start * m
-    idx = np.arange(first, first + size * m, m, dtype=np.uint64)
-    scale = np.uint64(1)
-    base = np.uint64(spec.base)
-    for s in free:
-        out[:, s] = (idx // scale) % base
-        scale = scale * base
-    return out
+        return out.T
+    # exact below EnumerationSpec's INDEX_LIMIT = 2**63 (np.arange sizes its
+    # result by a float division); a modulus past the space leaves one row
+    idx = np.arange(size, dtype=np.uint64)
+    if size > 1:
+        idx *= np.uint64(m)
+    idx += np.uint64(k + start * m)
+    chunk = np.empty_like(idx)
+    base = spec.base  # one base for every free slot: runs split only by length
+    for lo in range(0, len(free), DIGIT_RUN):
+        run = free[lo : lo + DIGIT_RUN]
+        if lo + DIGIT_RUN < len(free):
+            radix = np.uint64(base ** len(run))
+            rest = idx // radix
+            np.multiply(rest, radix, out=chunk)
+            np.subtract(idx, chunk, out=chunk)  # in place: no temporaries
+            digits, idx = chunk.view(np.intp), rest
+        else:
+            digits = idx.view(np.intp)
+        table = _digit_table(base, len(run))
+        for j, s in enumerate(run):
+            table[j].take(digits, out=out[s])
+    return out.T
+
+
+def take_rows(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """codes[rows] for row numbers `rows`, kept slot-major."""
+    return codes.T.take(rows, axis=1).T
 
 
 def _word(n: int, colours: int) -> type:

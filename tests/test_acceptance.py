@@ -8,8 +8,6 @@ budgets are fixed; seeds are fixed at 0 so every run sees the same samples.
 import random
 import time
 
-import numpy as np
-
 import monodom.cli as cli
 from monodom.auditor import (
     CycleView,
@@ -20,6 +18,7 @@ from monodom.auditor import (
 from monodom.campaigns import (
     estimate_f,
     merge_results,
+    screen_and_audit,
     search_pattern,
     verify_conjecture,
     verify_ssw2,
@@ -33,13 +32,6 @@ from monodom.core import (
 )
 from monodom.domination import domination_relation, find_rainbow_triangle, min_cover
 from monodom.enumeration import EnumerationSpec, sample_codes
-from monodom.kernel import (
-    any_reach,
-    batch_codes,
-    dominating_vertex_mask,
-    qualifying_cycle_mask,
-    rainbow_triangle_mask,
-)
 
 SAMPLES = 10**6
 RB = (Colour.RED, Colour.BLUE)
@@ -167,32 +159,6 @@ def test_criterion_5_alternating_pattern_search():
     )
 
 
-def _alarm_candidates(spec: EnumerationSpec, batch_rows: int = 1 << 20):
-    """Indices whose audit could possibly reach the all-pass verdict.
-
-    An alarm needs the triangle check (no cyclic rainbow triangle), the
-    dominating-vertex check (none exists), and the qualifying-cycle check to
-    hold simultaneously, so the kernel masks prefilter the stream; survivors
-    get the full audit.
-    """
-    out = []
-    total = spec.shard_size()
-    for start in range(0, total, batch_rows):
-        size = min(batch_rows, total - start)
-        codes = batch_codes(spec, start, size)
-        reach = any_reach(codes, spec.n, spec.colours)
-        weak = (
-            qualifying_cycle_mask(reach, spec.n)
-            & ~rainbow_triangle_mask(codes, spec.n, spec.colours)
-            & ~dominating_vertex_mask(reach, spec.n)
-        )
-        for b in np.flatnonzero(weak):
-            out.append(
-                ColouredTournament.from_codes(spec.n, [int(c) for c in codes[b]])
-            )
-    return out
-
-
 def _reverify_witness(t, rel, finding):
     """Check a failed finding's witness against the domination engine."""
     check, w = finding.check, finding.witness
@@ -277,15 +243,17 @@ def test_criterion_6_auditor_soundness():
     alarms += audit(ColouredTournament.from_codes(1, [])).alarm
     for code in range(6):
         alarms += audit(ColouredTournament.from_codes(2, [code])).alarm
-    for n in range(3, 6):
-        for t in _alarm_candidates(EnumerationSpec(n=n)):
-            candidates += 1
-            alarms += audit(t).alarm
-    for n in (6, 7, 8, 9):
-        spec = EnumerationSpec(n=n, mode="sampled", samples=SAMPLES, seed=0)
-        for t in _alarm_candidates(spec):
-            candidates += 1
-            alarms += audit(t).alarm
+    # the search screen (qualifying cycle, no T_3, no dominating vertex)
+    # passes only instances whose audit could reach the all-pass verdict,
+    # and audits each of them
+    specs = [EnumerationSpec(n=n) for n in range(3, 6)] + [
+        EnumerationSpec(n=n, mode="sampled", samples=SAMPLES, seed=0)
+        for n in (6, 7, 8, 9)
+    ]
+    for spec in specs:
+        r = screen_and_audit(spec)
+        candidates += r.counts["violations"]
+        alarms += r.counts["alarms"]
 
     # witness re-verification over 1,000 sampled reports, plus the twelve
     # 3-vertex instances whose audits exercise the deep cycle checks

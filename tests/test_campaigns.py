@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from monodom import enumeration
 from monodom.campaigns import (
     BATCH_ROWS,
     CampaignResult,
@@ -15,7 +16,7 @@ from monodom.campaigns import (
     verify_ssw2,
 )
 from monodom.core import Colour, parse
-from monodom.enumeration import EnumerationSpec
+from monodom.enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec
 
 RB = (Colour.RED, Colour.BLUE)
 RGB = (Colour.RED, Colour.GREEN, Colour.BLUE)
@@ -215,8 +216,39 @@ BATCHED_CAMPAIGNS = {
 def test_reports_do_not_depend_on_batch_size(name):
     run = BATCHED_CAMPAIGNS[name]
     whole = run(BATCH_ROWS).to_json()
-    for batch_rows in (1, 7, 1000):
+    for batch_rows in (1, 7, 1000, 1 << 20):
         assert run(batch_rows).to_json() == whole, batch_rows
+
+
+@pytest.mark.parametrize("shard", [(5, 997), (2, 61)])
+def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
+    """A scan draws every sample block it touches once, through the last
+    row the whole scan needs from it, whatever the batch size."""
+    k, m = shard
+    samples = 2 * SAMPLE_BLOCK_ROWS + 100
+    spec = EnumerationSpec(n=3, mode="sampled", samples=samples, seed=6, shard=shard)
+    needed = {}  # block -> rows through the scan's last index in it
+    for index in range(k, samples, m):
+        block, row = divmod(index, SAMPLE_BLOCK_ROWS)
+        needed[block] = row + 1
+    draws = []
+    real = enumeration.philox_digits
+
+    def counting(seed, base, width, block, rows):
+        draws.append((block, rows))
+        return real(seed, base, width, block, rows)
+
+    monkeypatch.setattr(enumeration, "philox_digits", counting)
+    reports = set()
+    for batch_rows in (1, 7, 1000, BATCH_ROWS):
+        draws.clear()
+        reports.add(verify_conjecture(spec, batch_rows=batch_rows).to_json())
+        assert draws == sorted(needed.items()), batch_rows
+    assert len(reports) == 1
+    # a second scan of the same spec draws again
+    draws.clear()
+    verify_conjecture(spec)
+    assert draws == sorted(needed.items())
 
 
 # SHA-256 of to_json() for reports the campaigns have always produced

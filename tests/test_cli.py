@@ -183,6 +183,21 @@ def test_exit_2_on_budget(capsys):
     assert "use sampled mode" in err
 
 
+def test_exit_2_past_index_limit(capsys):
+    big = "1000000000000000000000000000000"
+    for shard in ("5/100000000000000000000",
+                  "9223372036854775809/18446744073709551616"):
+        status, out, err = run_cli(capsys, "verify", "--order", "8", "--budget", big,
+                                   "--shard", shard)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "index limit 2**63" in err and "Traceback" not in err
+    status, _, err = run_cli(capsys, "search", "--order", "9", "--pattern", "rgb",
+                             "--budget", big)
+    assert status == 2 and "index limit 2**63" in err
+
+
 def test_exit_2_past_kernel_word(capsys):
     for argv in (
         ("verify", "--order", "22", "--mode", "sampled", "--samples", "10"),

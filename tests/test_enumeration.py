@@ -7,20 +7,20 @@ import pytest
 
 from monodom.core import Colour, ColouredTournament
 from monodom.enumeration import (
+    INDEX_LIMIT,
     SAMPLE_BLOCK_ROWS,
     BudgetExceededError,
     EnumerationSpec,
-    codes_to_index,
     enumerate_instances,
     index_to_codes,
     instance_at,
-    matches_filter,
     pattern_pinned_codes,
     philox_digits,
     sample_block,
     sample_codes,
     shard_indices,
 )
+from monodom.kernel import two_colour_vertices_mask
 
 RB = (Colour.RED, Colour.BLUE)
 RGB = (Colour.RED, Colour.GREEN, Colour.BLUE)
@@ -37,7 +37,7 @@ def test_index_round_trip():
     spec = EnumerationSpec(n=4)
     for index in (0, 1, 6, 46655, 12345):
         codes = index_to_codes(spec, index)
-        assert codes_to_index(spec, codes) == index
+        assert sum(c * 6**s for s, c in enumerate(codes)) == index
     # least significant digit sits in slot 0
     assert index_to_codes(spec, 1)[0] == 1
     assert index_to_codes(spec, 6)[1] == 1
@@ -127,6 +127,28 @@ def test_budget_guard():
     EnumerationSpec(n=12, mode="sampled", samples=10)
     # raising the budget admits the space
     EnumerationSpec(n=5, budget=6**10)
+
+
+def test_index_limit():
+    # indices stay below 2**63: the largest accepted spaces, and the first
+    # refused ones once the budget no longer stops them
+    assert INDEX_LIMIT == 2**63
+    assert EnumerationSpec(n=7, budget=6**21).space == 6**21
+    assert EnumerationSpec(n=8, colours=2, budget=4**28).space == 2**56
+    EnumerationSpec(n=5, mode="sampled", samples=2**63)
+    for kwargs in (
+        dict(n=8, budget=10**30),
+        dict(n=8, budget=10**30, shard=(5, 10**20)),
+        dict(n=8, budget=10**30, shard=(2**63 + 1, 2**64)),
+        dict(n=9, colours=2, budget=4**36),
+        dict(n=5, mode="sampled", samples=2**63 + 1),
+    ):
+        with pytest.raises(ValueError, match=r"exceeds the campaign index limit 2\*\*63"):
+            EnumerationSpec(**kwargs)
+    # a shard modulus past the space leaves at most one index per shard
+    spec = EnumerationSpec(n=7, budget=6**21, shard=(6**21 - 1, 2**70))
+    assert spec.shard_size() == 1
+    assert EnumerationSpec(n=7, budget=6**21, shard=(6**21, 2**70)).shard_size() == 0
 
 
 def test_pattern_pinning_rb_order4():
@@ -249,13 +271,11 @@ def test_sampled_respects_pattern():
 
 
 def test_filter_two_colour_vertices():
-    spec = EnumerationSpec(n=4, filter="two-colour-vertices")
     t_bad = ColouredTournament.from_arcs(
         4,
         {(0, 1): Colour.RED, (0, 2): Colour.BLUE, (0, 3): Colour.GREEN,
          (1, 2): Colour.RED, (1, 3): Colour.RED, (2, 3): Colour.RED},
     )
-    assert not matches_filter(spec, t_bad)
     t_ok = ColouredTournament.from_codes(4, [0] * 6)
-    assert matches_filter(spec, t_ok)
-    assert matches_filter(EnumerationSpec(n=4), t_bad)  # "none" admits all
+    codes = np.array([t_bad.to_codes(), t_ok.to_codes()], dtype=np.uint8)
+    assert two_colour_vertices_mask(codes, 4).tolist() == [False, True]

@@ -18,6 +18,7 @@ from monodom.enumeration import (
     SAMPLE_BLOCK_ROWS,
     EnumerationSpec,
     enumerate_instances,
+    index_to_codes,
     sample_block,
 )
 from monodom.kernel import (
@@ -31,6 +32,10 @@ from monodom.kernel import (
     rainbow_triangle_mask,
     two_colour_vertices_mask,
 )
+
+
+RB = (Colour.RED, Colour.BLUE)
+RGB = (Colour.RED, Colour.GREEN, Colour.BLUE)
 
 
 def random_codes(rng, rows, n, colours=3):
@@ -54,10 +59,60 @@ def test_batch_codes_sharded_and_offset():
     spec = EnumerationSpec(n=4, shard=(2, 5))
     rows = batch_codes(spec, 3, 7)
     indices = list(range(2, 46656, 5))[3:10]
-    from monodom.enumeration import index_to_codes
-
     for row, gi in zip(rows, indices):
         assert tuple(row) == index_to_codes(spec, gi)
+
+
+def _assert_rows_match_indices(spec, start, size):
+    k, m = spec.shard
+    rows = batch_codes(spec, start, size)
+    assert rows.shape == (size, len(pair_slots(spec.n)))
+    for offset, row in enumerate(rows):
+        assert tuple(row) == index_to_codes(spec, k + (start + offset) * m)
+
+
+# (colours, order, pattern): free-slot counts 3, 6, 9 (pinned order 6) and
+# 15, at base 4 and base 6; budgets raised where the space needs it
+TABLE_SPECS = [
+    (colours, n, pattern)
+    for colours in (2, 3)
+    for n, pattern in ((3, None), (4, None), (6, RB), (6, None))
+]
+
+
+@pytest.mark.parametrize("colours,n,pattern", TABLE_SPECS)
+def test_batch_codes_table_matches_index_to_codes(colours, n, pattern):
+    spec = EnumerationSpec(n=n, colours=colours, pattern=pattern, budget=6**15)
+    base, free = spec.base, len(spec.free_slots)
+    assert free in (3, 6, 9, 15)
+    _assert_rows_match_indices(spec, 0, min(spec.space, 2000))
+    _assert_rows_match_indices(spec, spec.space - 50, 50)
+    # batches and single rows around each digit-run boundary: multiples of
+    # base**5 and base**10
+    for run_size in (base**5, base**10):
+        for j in range(1, 4):
+            edge = j * run_size
+            if edge >= spec.space:
+                break
+            _assert_rows_match_indices(spec, edge - 3, 6)
+            for p in (edge - 1, edge, edge + 1):
+                _assert_rows_match_indices(spec, p, 1)
+
+
+def test_batch_codes_table_at_large_indices():
+    top = 6**21  # the order-7 space, accepted once the budget is raised
+    spec = EnumerationSpec(n=7, budget=top)
+    _assert_rows_match_indices(spec, top - 1000, 1000)
+    # shards whose moduli reach or pass the space
+    for k, m in ((7, 6**20 + 1), (3, top // 2), (top - 1, top), (top - 2, 2**64 + 3),
+                 (12345, 10**30)):
+        sharded = EnumerationSpec(n=7, budget=top, shard=(k, m))
+        size = sharded.shard_size()
+        assert 1 <= size <= 6
+        _assert_rows_match_indices(sharded, 0, size)
+    # a pinned order-6 space with a large modulus crossing run boundaries
+    pinned = EnumerationSpec(n=6, pattern=RGB, shard=(4, 6**5 - 1))
+    _assert_rows_match_indices(pinned, 0, pinned.shard_size())
 
 
 def test_batch_codes_sampled_matches_sample_stream():
