@@ -26,8 +26,6 @@ from .domination import (
     vertex_colour_profile,
 )
 
-GENHAMILTON_VERTEX_LIMIT = 12
-
 SAFE_VERDICT = "cannot be a minimal counterexample"
 ALARM_VERDICT = "ALL NECESSARY CONDITIONS PASS"
 
@@ -82,36 +80,6 @@ class CycleView:
         )
 
 
-# -- cycle constructions -----------------------------------------------------
-
-
-def non_domination_cycle(
-    t: ColouredTournament, rel: DominationRelation | None = None
-) -> CycleView:
-    """A directed cycle on which no vertex dominates its cycle predecessor.
-
-    Walks v_{i+1} := least-index vertex not dominated by v_i until a vertex
-    repeats; the reversed tail of the walk is the cycle.  Requires that no
-    vertex dominates the whole tournament.
-    """
-    rel = rel or domination_relation(t)
-    if dominating_vertices(t, rel):
-        raise ValueError("tournament has a dominating vertex; no such cycle exists")
-    walk = [0]
-    seen = {0: 0}
-    while True:
-        v = walk[-1]
-        nxt = next(
-            y for y in range(t.n) if y != v and not rel.colours(v, y)
-        )
-        walk.append(nxt)
-        if nxt in seen:
-            j = seen[nxt]
-            cycle = tuple(reversed(walk[j + 1 :]))
-            return CycleView(cycle, t)
-        seen[nxt] = len(walk) - 1
-
-
 @dataclass(frozen=True)
 class GenHamiltonResult:
     """Outcome of the qualifying-Hamilton-cycle search."""
@@ -139,8 +107,6 @@ def genhamilton_check(
     its arcs are forced (v not dominating u implies the arc u -> v).
     """
     n = t.n
-    if n > GENHAMILTON_VERTEX_LIMIT:
-        raise ValueError(f"genhamilton_check limited to n <= {GENHAMILTON_VERTEX_LIMIT}")
     rel = rel or domination_relation(t)
     if n < 3:
         return GenHamiltonResult(False, None, 0, {"reason": "no_directed_cycle_possible"})
@@ -196,37 +162,6 @@ def is_qualifying_cycle(
     return True
 
 
-# -- elimination orders ------------------------------------------------------
-
-
-class NoDominatingVertexError(ValueError):
-    """An induced subtournament without a dominating vertex; carries it."""
-
-    def __init__(self, vertices: frozenset[int]):
-        super().__init__(
-            f"induced subtournament on {sorted(vertices)} has no dominating vertex"
-        )
-        self.certificate = vertices
-
-
-def elimination_order(t: ColouredTournament) -> list[int]:
-    """Sequence x_1..x_n where each x_i dominates what remains after removing
-    the earlier ones.  Raises NoDominatingVertexError with the offending
-    vertex set when some stage has no dominating vertex.
-    """
-    remaining = list(range(t.n))
-    order = []
-    while remaining:
-        sub, labels = t.induced(remaining)
-        doms = dominating_vertices(sub)
-        if not doms:
-            raise NoDominatingVertexError(frozenset(remaining))
-        pick = labels[doms[0]]
-        order.append(pick)
-        remaining.remove(pick)
-    return order
-
-
 # -- colour-profile partitions around a two-colour pivot ---------------------
 
 
@@ -261,15 +196,6 @@ class ColourProfilePartition:
     blue_out_blue: frozenset[int]
     blue_in_red: frozenset[int]
     blue_in_blue: frozenset[int]
-
-    def base_sets_nonempty(self) -> dict[str, bool]:
-        """The four nonemptiness claims of the no-monochromatic-star rule."""
-        return {
-            "red_out": bool(self.red_out),
-            "red_in": bool(self.red_in),
-            "blue_out": bool(self.blue_out),
-            "blue_in": bool(self.blue_in),
-        }
 
     def colour_map_chars(self) -> dict[str, str]:
         return {orig.char: new.char for orig, new in self.colour_map.items()}

@@ -21,13 +21,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
 from .domination import min_cover
-from .enumeration import EnumerationSpec
+from .enumeration import DEFAULT_BUDGET, EnumerationSpec
 from . import kernel
 
 BATCH_ROWS = 1 << 15
@@ -131,9 +133,8 @@ class _Scan:
     row number within that array.
     """
 
-    def __init__(self, spec: EnumerationSpec, batch_rows: int, progress: int):
+    def __init__(self, spec: EnumerationSpec, progress: int):
         self.spec = spec
-        self.batch_rows = batch_rows
         self.progress = progress
         self.counts = {"enumerated": 0, "examined": 0, "violations": 0}
         self.violators: list[dict] = []
@@ -153,8 +154,8 @@ class _Scan:
         total = spec.shard_size()
         blocks = kernel.SampleBlocks(spec, total) if spec.mode == "sampled" else None
         next_mark = self.progress
-        for start in range(0, total, self.batch_rows):
-            size = min(self.batch_rows, total - start)
+        for start in range(0, total, BATCH_ROWS):
+            size = min(BATCH_ROWS, total - start)
             codes = kernel.batch_codes(spec, start, size, blocks)
             self.counts["enumerated"] += size
             rows = None
@@ -206,10 +207,7 @@ class _Scan:
 
 
 def verify_conjecture(
-    spec: EnumerationSpec,
-    require_cyclic: bool = True,
-    progress: int = 0,
-    batch_rows: int = BATCH_ROWS,
+    spec: EnumerationSpec, require_cyclic: bool = True, progress: int = 0
 ) -> CampaignResult:
     """Check every instance for a cyclic rainbow triangle or a dominating
     vertex; instances with neither are collected as violators."""
@@ -223,12 +221,10 @@ def verify_conjecture(
             reach = kernel.any_reach(kernel.take_rows(codes, bad), spec.n)
             scan.record(bad[~kernel.dominating_vertex_mask(reach, spec.n)])
 
-    return _Scan(spec, batch_rows, progress).run(evaluate)
+    return _Scan(spec, progress).run(evaluate)
 
 
-def verify_ssw2(
-    spec: EnumerationSpec, progress: int = 0, batch_rows: int = BATCH_ROWS
-) -> CampaignResult:
+def verify_ssw2(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
     """Check every 2-coloured instance for a dominating vertex."""
     if spec.colours != 2:
         raise ValueError("this campaign concerns 2-coloured tournaments")
@@ -237,14 +233,11 @@ def verify_ssw2(
         reach = kernel.any_reach(codes, spec.n, colours=2)
         scan.record(np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n)))
 
-    return _Scan(spec, batch_rows, progress).run(evaluate)
+    return _Scan(spec, progress).run(evaluate)
 
 
 def estimate_f(
-    spec: EnumerationSpec,
-    k_max: int = 4,
-    progress: int = 0,
-    batch_rows: int = BATCH_ROWS,
+    spec: EnumerationSpec, k_max: int = 4, progress: int = 0
 ) -> CampaignResult:
     """Maximum minimum-cover order over the enumerated instances.
 
@@ -268,7 +261,7 @@ def estimate_f(
             value = "uncovered" if cover is None else str(cover.order)
             scan.witness("min_cover", value, row)
 
-    scan = _Scan(spec, batch_rows, progress)
+    scan = _Scan(spec, progress)
     scan.counts["uncovered"] = 0
     scan.extremal["min_cover"] = {}
     return scan.run(evaluate)
@@ -281,9 +274,8 @@ def search_pattern(
     samples: int = 0,
     seed: int = 0,
     shard: tuple[int, int] = (0, 1),
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     progress: int = 0,
-    batch_rows: int = BATCH_ROWS,
 ) -> CampaignResult:
     """Scan all completions of a colour-patterned Hamilton cycle.
 
@@ -294,18 +286,14 @@ def search_pattern(
     each of them; audits reaching the all-conditions-pass verdict are counted
     as alarms.  check_failures histograms the failed checks seen.
     """
-    kwargs = dict(
+    spec = EnumerationSpec(
         n=order, colours=3, mode=mode, pattern=tuple(pattern), shard=shard,
-        samples=samples, seed=seed,
+        samples=samples, seed=seed, budget=budget,
     )
-    if budget is not None:
-        kwargs["budget"] = budget
-    return screen_and_audit(EnumerationSpec(**kwargs), progress, batch_rows)
+    return screen_and_audit(spec, progress)
 
 
-def screen_and_audit(
-    spec: EnumerationSpec, progress: int = 0, batch_rows: int = BATCH_ROWS
-) -> CampaignResult:
+def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
     """The search screen over any spec: rows with a qualifying cycle, no
     cyclic rainbow triangle and no dominating vertex are weak violators,
     and each gets the full audit; all-conditions-pass audits are alarms."""
@@ -333,7 +321,7 @@ def screen_and_audit(
                     index = scan.index(row)
                     alarms[str(index)] = {"index": index, "report": report.to_dict()}
 
-    scan = _Scan(spec, batch_rows, progress)
+    scan = _Scan(spec, progress)
     scan.counts["alarms"] = 0
     scan.check_failures.update(t3=0, dominating_vertex=0, genhamilton=0)
     return scan.run(evaluate)
@@ -342,31 +330,23 @@ def screen_and_audit(
 # -- parallel driver -----------------------------------------------------------------
 
 
-_CAMPAIGNS = {
-    "conjecture": verify_conjecture,
-    "ssw2": verify_ssw2,
-    "estimate_f": estimate_f,
-}
-
-
-def _run_subshard(args) -> CampaignResult:
-    name, spec, kwargs = args
-    return _CAMPAIGNS[name](spec, **kwargs)
-
-
 def run_parallel(
-    name: str, spec: EnumerationSpec, workers: int = 1, **kwargs
+    campaign: Callable[..., CampaignResult],
+    spec: EnumerationSpec,
+    workers: int = 1,
+    **kwargs,
 ) -> CampaignResult:
-    """Run a named campaign over `workers` disjoint sub-shards and merge.
+    """Run campaign(spec, **kwargs) over `workers` disjoint sub-shards and
+    merge.  The campaign must be a module-level function, so that it pickles.
 
     Sub-shard j of the spec's shard (k, m) is (k + j*m, m*workers); their
     union is exactly the original shard, so the merged result equals the
     single-process run.
     """
     if workers <= 1:
-        return _CAMPAIGNS[name](spec, **kwargs)
+        return campaign(spec, **kwargs)
     k, m = spec.shard
     subs = [replace(spec, shard=(k + j * m, m * workers)) for j in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_subshard, [(name, s, kwargs) for s in subs]))
+        parts = list(pool.map(partial(campaign, **kwargs), subs))
     return merge_results(parts, spec=spec)

@@ -13,10 +13,9 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 
 from .auditor import audit
-from .campaigns import run_parallel, search_pattern
+from .campaigns import run_parallel, search_pattern, verify_conjecture, verify_ssw2
 from .core import (
     Colour,
     ColouredTournament,
@@ -32,32 +31,10 @@ from .domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from .enumeration import MODES, BudgetExceededError, EnumerationSpec, philox_digits
+from .enumeration import DEFAULT_BUDGET, MODES, EnumerationSpec, philox_digits
 
 PROGRESS_THRESHOLD = 10**7
 PROGRESS_EVERY = 10**6
-
-
-@dataclass
-class CliConfig:
-    """One validated invocation; flags irrelevant to the subcommand stay at
-    their defaults."""
-
-    subcommand: str
-    input: str | None = None
-    order: int = 0
-    colours: int = 3
-    mode: str = "exhaustive"
-    samples: int = 0
-    seed: int = 0
-    shard: tuple[int, int] = (0, 1)
-    budget: int | None = None
-    k_max: int = 4
-    format: str = "text"
-    pattern: tuple[Colour, ...] | None = None
-    cyclic: bool = True
-    filter: str = "none"
-    workers: int = 0
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -120,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--filter", choices=("none", "two-colour-vertices"),
                     default="none")
     sp.add_argument("--cyclic", choices=("on", "off"), default="on")
@@ -136,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_format(sp)
 
     sp = sub.add_parser("gen", help="emit one seeded random instance")
@@ -145,17 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
 
     return p
-
-
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(subcommand=args.subcommand)
-    for field in vars(cfg):
-        if hasattr(args, field) and getattr(args, field) is not None:
-            value = getattr(args, field)
-            if field == "cyclic":
-                value = value == "on"
-            setattr(cfg, field, value)
-    return cfg
 
 
 def _read_instance(source: str) -> ColouredTournament:
@@ -176,17 +142,18 @@ def _triangle_line(t, cyclic: bool) -> str:
     return f"{label} at {tri.vertices}: {arcs}"
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    t = _read_instance(cfg.input)
+def cmd_check(args: argparse.Namespace) -> int:
+    t = _read_instance(args.input)
+    cyclic = args.cyclic == "on"
     doms = dominating_vertices(t)
     dby = dominated_by_all(t)
-    tri = find_rainbow_triangle(t, require_cyclic=cfg.cyclic)
-    if cfg.format == "json":
+    tri = find_rainbow_triangle(t, require_cyclic=cyclic)
+    if args.format == "json":
         findings = [
             {"check": "dominating_vertices", "vertices": doms},
             {"check": "dominated_by_all", "vertices": dby},
             {
-                "check": "t3" if cfg.cyclic else "rainbow_triangle",
+                "check": "t3" if cyclic else "rainbow_triangle",
                 "found": tri is not None,
                 "witness": None if tri is None else {
                     "triangle": list(tri.vertices),
@@ -199,14 +166,14 @@ def cmd_check(cfg: CliConfig) -> int:
         print(f"n={t.n}")
         print("dominating vertices:", " ".join(map(str, doms)) if doms else "none")
         print("dominated by all:", " ".join(map(str, dby)) if dby else "none")
-        print(_triangle_line(t, cfg.cyclic))
+        print(_triangle_line(t, cyclic))
     return 0
 
 
-def cmd_audit(cfg: CliConfig) -> int:
-    t = _read_instance(cfg.input)
+def cmd_audit(args: argparse.Namespace) -> int:
+    t = _read_instance(args.input)
     report = audit(t)
-    if cfg.format == "json":
+    if args.format == "json":
         print(canonical_json(report.to_dict()))
     else:
         print(f"n={t.n}")
@@ -217,22 +184,22 @@ def cmd_audit(cfg: CliConfig) -> int:
     return 1 if report.alarm else 0
 
 
-def cmd_cover(cfg: CliConfig) -> int:
-    t = _read_instance(cfg.input)
-    cover = min_cover(t, k_max=cfg.k_max)
-    if cfg.format == "json":
+def cmd_cover(args: argparse.Namespace) -> int:
+    t = _read_instance(args.input)
+    cover = min_cover(t, k_max=args.k_max)
+    if args.format == "json":
         payload = report_dict(
             t,
             [{
                 "check": "min_cover",
-                "k_max": cfg.k_max,
+                "k_max": args.k_max,
                 "order": None if cover is None else cover.order,
                 "members": None if cover is None else list(cover.members),
             }],
         )
         print(canonical_json(payload))
     elif cover is None:
-        print(f"no covering set of order <= {cfg.k_max}")
+        print(f"no covering set of order <= {args.k_max}")
     else:
         print(f"order {cover.order}, members {{{', '.join(map(str, cover.members))}}}")
     return 0
@@ -264,55 +231,53 @@ def _campaign_text(result, label: str) -> None:
         print(v["instance"], end="")
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    kwargs = dict(
-        n=cfg.order, colours=cfg.colours, mode=cfg.mode, filter=cfg.filter,
-        shard=cfg.shard, samples=cfg.samples, seed=cfg.seed,
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = EnumerationSpec(
+        n=args.order, colours=args.colours, mode=args.mode, filter=args.filter,
+        shard=args.shard, samples=args.samples, seed=args.seed, budget=args.budget,
     )
-    if cfg.budget is not None:
-        kwargs["budget"] = cfg.budget
-    spec = EnumerationSpec(**kwargs)
-    workers = cfg.workers or os.cpu_count() or 1
+    workers = args.workers or os.cpu_count() or 1
     progress = PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
-    if cfg.colours == 2:
-        result = run_parallel("ssw2", spec, workers=workers, progress=progress)
+    if args.colours == 2:
+        result = run_parallel(verify_ssw2, spec, workers=workers, progress=progress)
         label = "2-coloured dominating vertex"
     else:
+        cyclic = args.cyclic == "on"
         result = run_parallel(
-            "conjecture", spec, workers=workers,
-            require_cyclic=cfg.cyclic, progress=progress,
+            verify_conjecture, spec, workers=workers,
+            require_cyclic=cyclic, progress=progress,
         )
-        label = ("cyclic T_3 or dominating vertex" if cfg.cyclic
+        label = ("cyclic T_3 or dominating vertex" if cyclic
                  else "rainbow triangle or dominating vertex")
-    if cfg.format == "json":
+    if args.format == "json":
         print(result.to_json())
     else:
         _campaign_text(result, label)
     return 1 if result.violations else 0
 
 
-def cmd_search(cfg: CliConfig) -> int:
+def cmd_search(args: argparse.Namespace) -> int:
     result = search_pattern(
-        cfg.order, cfg.pattern, mode=cfg.mode, samples=cfg.samples,
-        seed=cfg.seed, shard=cfg.shard, budget=cfg.budget,
+        args.order, args.pattern, mode=args.mode, samples=args.samples,
+        seed=args.seed, shard=args.shard, budget=args.budget,
         progress=PROGRESS_EVERY,
     )
-    if cfg.format == "json":
+    if args.format == "json":
         print(result.to_json())
     else:
-        pattern = "".join(c.char for c in cfg.pattern)
+        pattern = "".join(c.char for c in args.pattern)
         _campaign_text(result, f"pattern {pattern} cycle completions")
     return 1 if result.violations or result.counts.get("alarms") else 0
 
 
-def cmd_gen(cfg: CliConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     """Row 0 of the sampled stream, built without an EnumerationSpec so that
     orders beyond the campaign kernel's word stay available."""
-    if cfg.order < 1:
+    if args.order < 1:
         raise ValueError("order must be >= 1")
-    pairs = cfg.order * (cfg.order - 1) // 2
-    codes = philox_digits(cfg.seed, 2 * cfg.colours, pairs, 0, rows=1)[0].tolist()
-    print(serialize(ColouredTournament.from_codes(cfg.order, codes, cfg.colours)),
+    pairs = args.order * (args.order - 1) // 2
+    codes = philox_digits(args.seed, 2 * args.colours, pairs, 0, rows=1)[0].tolist()
+    print(serialize(ColouredTournament.from_codes(args.order, codes, args.colours)),
           end="")
     return 0
 
@@ -327,18 +292,13 @@ _HANDLERS = {
 }
 
 
-def run(config: CliConfig) -> int:
-    """Execute one configured invocation; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit status."""
     try:
-        return _HANDLERS[config.subcommand](config)
-    except TournamentFormatError as e:
-        print(f"error: malformed instance: {e}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return _HANDLERS[args.subcommand](args)
+    except (ValueError, OSError) as e:
+        kind = "malformed instance: " if isinstance(e, TournamentFormatError) else ""
+        print(f"error: {kind}{e}", file=sys.stderr)
         return 2
     except Exception as e:  # a bug, not a verdict: never exit 1 for it
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -348,7 +308,7 @@ def run(config: CliConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from enum import IntEnum
-from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -287,60 +286,6 @@ def serialize(t: ColouredTournament) -> str:
             )
         )
     return f"{t.n}\n" + "\n".join(rows) + "\n"
-
-
-# -- canonical keys --------------------------------------------------------
-
-CANONICAL_DEFAULT_LIMIT = 8
-
-_COLOUR_PERMS = tuple(permutations(COLOURS))
-
-
-def _code_bytes(t: ColouredTournament) -> bytes:
-    return bytes(t.to_codes())
-
-
-def canonical_key(
-    t: ColouredTournament,
-    include_colour_perms: bool = False,
-    limit: int = CANONICAL_DEFAULT_LIMIT,
-) -> bytes:
-    """Relabelling-minimal encoding; equal keys iff isomorphic.
-
-    Minimizes the per-pair code string over all vertex permutations (and all
-    3! colour permutations when include_colour_perms is set).  Brute force
-    over n! relabellings, hence the size limit.
-    """
-    if t.n > limit:
-        raise ValueError(f"canonical_key limit exceeded: n={t.n} > {limit}")
-    variants = [t]
-    if include_colour_perms:
-        variants = [
-            t.swap_colours(dict(zip(COLOURS, perm))) for perm in _COLOUR_PERMS
-        ]
-    best: bytes | None = None
-    for variant in variants:
-        for perm in permutations(range(t.n)):
-            candidate = _code_bytes(variant.relabel(perm))
-            if best is None or candidate < best:
-                best = candidate
-    return b"%d:" % t.n + best  # type: ignore[operator]
-
-
-def are_isomorphic(
-    a: ColouredTournament, b: ColouredTournament, include_colour_perms: bool = False
-) -> bool:
-    """Permutation-search isomorphism test; quadratic oracle for canonical_key."""
-    if a.n != b.n:
-        return False
-    targets = [b]
-    if include_colour_perms:
-        targets = [b.swap_colours(dict(zip(COLOURS, perm))) for perm in _COLOUR_PERMS]
-    for target in targets:
-        for perm in permutations(range(a.n)):
-            if a.relabel(perm) == target:
-                return True
-    return False
 
 
 # -- shared report plumbing -------------------------------------------------

@@ -314,23 +314,16 @@ def cover_order_tiers(reach: np.ndarray, n: int, k_max: int = 3) -> np.ndarray:
     covered, full = _covered(reach, n)
     order = np.zeros(B, dtype=np.uint8)
     order[(covered == full).any(axis=1)] = 1
-    if k_max >= 2:
-        pend = order == 0
-        for i, j in combinations(range(n), 2):
+    pend = order == 0
+    for size in range(2, min(k_max, 3) + 1):
+        for members in combinations(range(n), size):
             if not pend.any():
                 break
-            two = (covered[pend, i] | covered[pend, j]) == full
-            idx = np.flatnonzero(pend)[two]
-            order[idx] = 2
-            pend[idx] = False
-    if k_max >= 3:
-        pend = order == 0
-        for i, j, k in combinations(range(n), 3):
-            if not pend.any():
-                break
-            three = (covered[pend, i] | covered[pend, j] | covered[pend, k]) == full
-            idx = np.flatnonzero(pend)[three]
-            order[idx] = 3
+            union = covered[pend, members[0]]
+            for v in members[1:]:
+                union |= covered[pend, v]
+            idx = np.flatnonzero(pend)[union == full]
+            order[idx] = size
             pend[idx] = False
     return order
 

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from monodom import enumeration
+from monodom import campaigns, enumeration
 from monodom.campaigns import (
     BATCH_ROWS,
     CampaignResult,
@@ -160,26 +160,21 @@ def test_search_pattern_sampled_deterministic():
 def test_run_parallel_matches_direct():
     spec = EnumerationSpec(n=4)
     direct = verify_conjecture(spec)
-    par = run_parallel("conjecture", spec, workers=2)
+    par = run_parallel(verify_conjecture, spec, workers=2)
     assert par.to_json() == direct.to_json()
 
 
 def test_run_parallel_ssw2_and_estimate_f():
     spec2 = EnumerationSpec(n=3, colours=2)
     assert (
-        run_parallel("ssw2", spec2, workers=2).to_json()
+        run_parallel(verify_ssw2, spec2, workers=2).to_json()
         == verify_ssw2(spec2).to_json()
     )
     spec3 = EnumerationSpec(n=3)
     assert (
-        run_parallel("estimate_f", spec3, workers=2).to_json()
+        run_parallel(estimate_f, spec3, workers=2).to_json()
         == estimate_f(spec3).to_json()
     )
-
-
-def test_run_parallel_unknown_campaign():
-    with pytest.raises(KeyError):
-        run_parallel("nope", EnumerationSpec(n=3))
 
 
 def test_result_dict_shape():
@@ -198,26 +193,24 @@ def test_violations_property_counts_alarms():
 # each campaign over several batches: rows map to global indices across batch
 # boundaries, also where the vertex filter drops rows
 BATCHED_CAMPAIGNS = {
-    "filtered n=4 2/5": lambda b: verify_conjecture(
-        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), batch_rows=b),
-    "estimate_f filtered n=4 2/5 k_max=1": lambda b: estimate_f(
-        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), k_max=1,
-        batch_rows=b),
-    "estimate_f n=3 1/3": lambda b: estimate_f(
-        EnumerationSpec(n=3, shard=(1, 3)), batch_rows=b),
-    "sampled n=5 1/3": lambda b: verify_conjecture(
-        EnumerationSpec(n=5, mode="sampled", samples=3000, seed=4, shard=(1, 3)),
-        batch_rows=b),
-    "search rb n=4 1/2": lambda b: search_pattern(4, RB, shard=(1, 2), batch_rows=b),
+    "filtered n=4 2/5": lambda: verify_conjecture(
+        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5))),
+    "estimate_f filtered n=4 2/5 k_max=1": lambda: estimate_f(
+        EnumerationSpec(n=4, filter="two-colour-vertices", shard=(2, 5)), k_max=1),
+    "estimate_f n=3 1/3": lambda: estimate_f(EnumerationSpec(n=3, shard=(1, 3))),
+    "sampled n=5 1/3": lambda: verify_conjecture(
+        EnumerationSpec(n=5, mode="sampled", samples=3000, seed=4, shard=(1, 3))),
+    "search rb n=4 1/2": lambda: search_pattern(4, RB, shard=(1, 2)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED_CAMPAIGNS))
-def test_reports_do_not_depend_on_batch_size(name):
+def test_reports_do_not_depend_on_batch_size(monkeypatch, name):
     run = BATCHED_CAMPAIGNS[name]
-    whole = run(BATCH_ROWS).to_json()
+    whole = run().to_json()
     for batch_rows in (1, 7, 1000, 1 << 20):
-        assert run(batch_rows).to_json() == whole, batch_rows
+        monkeypatch.setattr(campaigns, "BATCH_ROWS", batch_rows)
+        assert run().to_json() == whole, batch_rows
 
 
 @pytest.mark.parametrize("shard", [(5, 997), (2, 61)])
@@ -242,7 +235,8 @@ def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
     reports = set()
     for batch_rows in (1, 7, 1000, BATCH_ROWS):
         draws.clear()
-        reports.add(verify_conjecture(spec, batch_rows=batch_rows).to_json())
+        monkeypatch.setattr(campaigns, "BATCH_ROWS", batch_rows)
+        reports.add(verify_conjecture(spec).to_json())
         assert draws == sorted(needed.items()), batch_rows
     assert len(reports) == 1
     # a second scan of the same spec draws again

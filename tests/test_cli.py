@@ -7,7 +7,7 @@ import pytest
 import monodom.cli as cli
 from monodom.campaigns import CampaignResult
 from monodom.core import parse
-from monodom.enumeration import EnumerationSpec
+from monodom.enumeration import DEFAULT_BUDGET, EnumerationSpec
 
 T3_TEXT = "3\n.r.\n..b\ng..\n"
 
@@ -214,8 +214,9 @@ def test_exit_2_past_kernel_word(capsys):
 def test_engine_commands_stay_unlimited(capsys):
     status, text, _ = run_cli(capsys, "gen", "--order", "22", "--seed", "3")
     assert status == 0 and parse(text).n == 22
-    status, out, _ = run_cli(capsys, "check", "--input", text)
-    assert status == 0 and out.startswith("n=22\n")
+    for command in ("check", "audit"):
+        status, out, _ = run_cli(capsys, command, "--input", text)
+        assert status == 0 and out.startswith("n=22\n")
     status, _, err = run_cli(capsys, "gen", "--order", "4", "--seed", "-1")
     assert status == 2 and "seed must be in" in err
 
@@ -292,11 +293,10 @@ def test_internal_error_exits_2_not_1(capsys, monkeypatch):
 
 def test_config_from_args_defaults():
     args = cli.build_parser().parse_args(["verify", "--order", "5"])
-    cfg = cli.config_from_args(args)
-    assert cfg.subcommand == "verify"
-    assert cfg.order == 5
-    assert cfg.colours == 3
-    assert cfg.mode == "exhaustive"
-    assert cfg.shard == (0, 1)
-    assert cfg.budget is None
-    assert cfg.cyclic is True
+    assert args.subcommand == "verify"
+    assert args.order == 5
+    assert args.colours == 3
+    assert args.mode == "exhaustive"
+    assert args.shard == (0, 1)
+    assert args.budget == DEFAULT_BUDGET
+    assert args.cyclic == "on"

@@ -1,17 +1,16 @@
-"""Instance model, file format, and isomorphism tests."""
+"""Instance model, file format, transforms and the public surface."""
 
 import random
 
 import pytest
 
+import monodom
 from monodom.core import (
     COLOURS,
     Colour,
     ColouredTournament,
     TournamentFormatError,
-    are_isomorphic,
     canonical_json,
-    canonical_key,
     pair_slots,
     parse,
     serialize,
@@ -170,53 +169,12 @@ def test_relabel_permutes_consistently_seeded():
             assert u.arc_colour(perm[i], perm[j]) is colour
 
 
-def test_canonical_key_relabel_invariant():
-    rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randrange(1, 6)
-        t = random_instance(rng, n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        assert canonical_key(t) == canonical_key(t.relabel(perm))
-
-
-def test_canonical_key_matches_isomorphism_oracle():
-    rng = random.Random(4242)
-    pool = [random_instance(rng, 3) for _ in range(25)]
-    for a in pool:
-        for b in pool:
-            same = canonical_key(a) == canonical_key(b)
-            assert same == are_isomorphic(a, b)
-
-
-def test_canonical_key_colour_perms():
-    t = parse(T3_TEXT)
-    s = t.swap_colours({Colour.RED: Colour.GREEN, Colour.GREEN: Colour.RED,
-                        Colour.BLUE: Colour.BLUE})
-    assert canonical_key(t) != canonical_key(s)
-    assert canonical_key(t, include_colour_perms=True) == canonical_key(
-        s, include_colour_perms=True
-    )
-    assert are_isomorphic(t, s, include_colour_perms=True)
-
-
-def test_canonical_orbit_counts_n3():
-    # frozen: 216 labelled 3-vertex instances fall into 38 relabelling
-    # classes, 8 classes once colours may be permuted too
-    seen, seen_cp = set(), set()
-    for code in range(216):
-        codes = [code % 6, code // 6 % 6, code // 36]
-        t = ColouredTournament.from_codes(3, codes)
-        seen.add(canonical_key(t))
-        seen_cp.add(canonical_key(t, include_colour_perms=True))
-    assert len(seen) == 38
-    assert len(seen_cp) == 8
-
-
-def test_canonical_key_limit():
-    t = ColouredTournament.from_codes(2, [0])
-    with pytest.raises(ValueError):
-        canonical_key(t, limit=1)
+def test_public_surface_resolves():
+    for name in monodom.__all__:
+        assert hasattr(monodom, name), name
+    namespace = {}
+    exec("from monodom import *", namespace)
+    assert set(monodom.__all__) <= set(namespace)
 
 
 def test_canonical_json_stable():

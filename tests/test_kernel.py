@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monodom.auditor import genhamilton_check
-from monodom.core import Colour, ColouredTournament, pair_slots
+from monodom.core import Colour, ColouredTournament, pair_slots, parse
 from monodom.domination import (
     at_most_two_everywhere,
     domination_relation,
@@ -253,6 +253,45 @@ def test_masks_match_engine_seeded():
                     find_rainbow_triangle(t, require_cyclic=False) is not None
                 )
                 assert bool(two[r]) == at_most_two_everywhere(t)
+
+
+# every vertex of MISS_ONE misses exactly one vertex (0, 2 or 4), and 1, 3
+# and 5 each lie on a red cycle
+MISS_ONE = parse("6\n.r..g.\n..br..\nb..r..\ng...br\n.gr..r\nbrb...\n")
+
+
+def blow_up(base, owner, filler):
+    """Codes of the instance in which vertex i plays base vertex owner[i];
+    pairs with the same owner take their code from filler."""
+    codes = []
+    for s, (i, j) in enumerate(pair_slots(len(owner))):
+        a, b = owner[i], owner[j]
+        if a == b:
+            codes.append(int(filler[s]))
+        elif base.beats(a, b):
+            codes.append(int(base.arc_colour(a, b)))
+        else:
+            codes.append(3 + int(base.arc_colour(b, a)))
+    return codes
+
+
+def test_qualifying_mask_matches_engine_past_order_12():
+    """Rows that get past the singleton screen at orders 13-21: blowing up
+    1, 3 and 5 of MISS_ONE keeps every vertex missing exactly one vertex,
+    whatever the sampled arcs inside each blown-up vertex are."""
+    for n in range(13, 22):
+        owner = list(range(6)) + [(1, 3, 5)[i % 3] for i in range(n - 6)]
+        spec = EnumerationSpec(n=n, mode="sampled", samples=20, seed=n)
+        sampled = batch_codes(spec, 0, 20)
+        codes = np.vstack([sampled, [blow_up(MISS_ONE, owner, row) for row in sampled]])
+        qual = qualifying_cycle_mask(any_reach(codes, n), n)
+        reasons = set()
+        for r, row in enumerate(codes):
+            gh = genhamilton_check(ColouredTournament.from_codes(n, list(row)))
+            assert bool(qual[r]) == gh.holds
+            if r >= len(sampled):
+                reasons.add(gh.diagnosis["reason"])
+        assert reasons == {"predecessor_map_splits"}
 
 
 def test_rainbow_table_exhaustive_n3():
