@@ -10,9 +10,12 @@ Every campaign is a per-batch evaluator of kernel masks that one shared
 scan (`_Scan`) runs in every mode; the only rows it drops before the
 evaluator sees a batch are those the vertex filter rejects.  Batches hold
 BATCH_ROWS = 2^15 rows, so a batch's codes, index arithmetic and reach
-words stay in a core's L2 cache; a sampled scan draws each Philox block
-once and slices every batch from it.  Expected violator counts are zero
-throughout, so violator storage is capped (the count is exact).
+words stay in a core's L2 cache.  The scan passes one kernel.Workspace to
+every kernel call: batch-sized arrays allocated afresh cost a page fault
+per page on every batch, while the workspace's buffers fault in once, in
+the first batch, and a sampled scan draws each Philox block into it once.
+Expected violator counts are zero throughout, so violator storage is
+capped (the count is exact).
 """
 
 from __future__ import annotations
@@ -125,12 +128,14 @@ class _Scan:
     """One walk over a spec's shard, feeding each batch to a campaign's
     per-batch evaluator.
 
-    The scan owns everything campaigns share: batch codes (and the sample
-    block a sampled scan is in), the vertex filter, the enumerated/examined
-    counts, mapping rows to global indices, capped violator recording,
-    lowest-index witnesses, progress and timing.
+    The scan owns everything campaigns share: batch codes, the vertex
+    filter, the enumerated/examined counts, mapping rows to global indices,
+    capped violator recording, lowest-index witnesses, progress and timing,
+    and the kernel workspace (`ws`, made per run) whose buffers every
+    kernel call of the scan reuses, so that batches after the first take
+    no fresh pages; it also holds the sample block a sampled scan is in.
     An evaluator sees only the examined rows of a batch and names them by
-    row number within that array.
+    row number within that array, and passes `ws` to its kernel calls.
     """
 
     def __init__(self, spec: EnumerationSpec, progress: int):
@@ -145,6 +150,7 @@ class _Scan:
         self._start = 0
         self._rows: np.ndarray | None = None
         self._codes: np.ndarray | None = None
+        self.ws: kernel.Workspace | None = None
 
     def run(self, evaluate) -> CampaignResult:
         """Call evaluate(scan, codes) on the examined rows of every batch."""
@@ -152,17 +158,17 @@ class _Scan:
         t0 = time.time()
         k, m = spec.shard
         total = spec.shard_size()
-        blocks = kernel.SampleBlocks(spec, total) if spec.mode == "sampled" else None
+        self.ws = ws = kernel.Workspace(total)
         next_mark = self.progress
         for start in range(0, total, BATCH_ROWS):
             size = min(BATCH_ROWS, total - start)
-            codes = kernel.batch_codes(spec, start, size, blocks)
+            codes = kernel.batch_codes(spec, start, size, ws)
             self.counts["enumerated"] += size
             rows = None
             if spec.filter == "two-colour-vertices":
                 rows = np.flatnonzero(
-                    kernel.two_colour_vertices_mask(codes, spec.n, spec.colours))
-                codes = kernel.take_rows(codes, rows)
+                    kernel.two_colour_vertices_mask(codes, spec.n, spec.colours, ws))
+                codes = kernel.take_rows(codes, rows, ws)
             self.counts["examined"] += len(codes)
             self._start, self._rows, self._codes = start, rows, codes
             evaluate(self, codes)
@@ -215,11 +221,13 @@ def verify_conjecture(
         raise ValueError("the conjecture concerns 3-coloured tournaments")
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        t3 = kernel.rainbow_triangle_mask(codes, spec.n, require_cyclic=require_cyclic)
+        ws = scan.ws
+        t3 = kernel.rainbow_triangle_mask(
+            codes, spec.n, require_cyclic=require_cyclic, ws=ws)
         bad = np.flatnonzero(~t3)
         if len(bad):
-            reach = kernel.any_reach(kernel.take_rows(codes, bad), spec.n)
-            scan.record(bad[~kernel.dominating_vertex_mask(reach, spec.n)])
+            reach = kernel.any_reach(kernel.take_rows(codes, bad, ws), spec.n, ws=ws)
+            scan.record(bad[~kernel.dominating_vertex_mask(reach, spec.n, ws)])
 
     return _Scan(spec, progress).run(evaluate)
 
@@ -230,8 +238,8 @@ def verify_ssw2(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
         raise ValueError("this campaign concerns 2-coloured tournaments")
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        reach = kernel.any_reach(codes, spec.n, colours=2)
-        scan.record(np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n)))
+        reach = kernel.any_reach(codes, spec.n, colours=2, ws=scan.ws)
+        scan.record(np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n, scan.ws)))
 
     return _Scan(spec, progress).run(evaluate)
 
@@ -248,8 +256,8 @@ def estimate_f(
         raise ValueError("k_max must be >= 1")
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        reach = kernel.any_reach(codes, spec.n, colours=spec.colours)
-        tiers = kernel.cover_order_tiers(reach, spec.n, k_max=k_max)
+        reach = kernel.any_reach(codes, spec.n, spec.colours, scan.ws)
+        tiers = kernel.cover_order_tiers(reach, spec.n, k_max, scan.ws)
         for order in (1, 2, 3):
             rows = np.flatnonzero(tiers == order)
             if len(rows):
@@ -299,14 +307,15 @@ def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult
     and each gets the full audit; all-conditions-pass audits are alarms."""
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        reach = kernel.any_reach(codes, spec.n, spec.colours)
-        qual = kernel.qualifying_cycle_mask(reach, spec.n)
-        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours)
-        dom = kernel.dominating_vertex_mask(reach, spec.n)
+        ws = scan.ws
+        reach = kernel.any_reach(codes, spec.n, spec.colours, ws)
+        qual = kernel.qualifying_cycle_mask(reach, spec.n, ws)
+        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours, ws=ws)
+        dom = kernel.dominating_vertex_mask(reach, spec.n, ws)
         failures = scan.check_failures
-        failures["t3"] += int(t3.sum())
-        failures["dominating_vertex"] += int(dom.sum())
-        failures["genhamilton"] += int((~qual).sum())
+        failures["t3"] += int(np.count_nonzero(t3))
+        failures["dominating_vertex"] += int(np.count_nonzero(dom))
+        failures["genhamilton"] += len(qual) - int(np.count_nonzero(qual))
         weak = np.flatnonzero(qual & ~t3 & ~dom)
         scan.record(weak)
         for row in weak:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from monodom import campaigns, enumeration
+from monodom import campaigns, enumeration, kernel
 from monodom.campaigns import (
     BATCH_ROWS,
     CampaignResult,
@@ -243,6 +243,48 @@ def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
     draws.clear()
     verify_conjecture(spec)
     assert draws == sorted(needed.items())
+
+
+STEADY_SCANS = {
+    "exhaustive n=5 3/5000": (
+        1000, lambda: verify_conjecture(EnumerationSpec(n=5, shard=(3, 5000)))),
+    "sampled n=6 1/3": (
+        1000, lambda: verify_conjecture(
+            EnumerationSpec(n=6, mode="sampled", samples=20000, seed=1, shard=(1, 3)))),
+    "search rb n=6 1/500": (2000, lambda: search_pattern(6, RB, shard=(1, 500))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEADY_SCANS))
+def test_scan_allocates_only_while_batches_grow(monkeypatch, name):
+    """A multi-batch scan allocates workspace buffers only in a batch larger
+    than every earlier one: here the first, since the rest are no larger."""
+    batch_rows, run = STEADY_SCANS[name]
+    sizes, allocations = [], []
+
+    class CountingWorkspace(kernel.Workspace):
+        def buffer(self, name, shape, dtype):
+            before = self.buffers.get(name)
+            view = super().buffer(name, shape, dtype)
+            if self.buffers[name] is not before:
+                allocations.append((len(sizes) - 1, name))
+            return view
+
+    real = kernel.batch_codes
+
+    def counting_batch_codes(spec, start, size, ws=None):
+        sizes.append(size)
+        return real(spec, start, size, ws)
+
+    monkeypatch.setattr(kernel, "Workspace", CountingWorkspace)
+    monkeypatch.setattr(kernel, "batch_codes", counting_batch_codes)
+    monkeypatch.setattr(campaigns, "BATCH_ROWS", batch_rows)
+    whole = run().to_json()
+    assert len(sizes) >= 3 and allocations
+    for batch, buffer in allocations:
+        assert sizes[batch] > max(sizes[:batch], default=0), (batch, buffer)
+    monkeypatch.undo()
+    assert run().to_json() == whole
 
 
 # SHA-256 of to_json() for reports the campaigns have always produced

@@ -22,6 +22,7 @@ from monodom.enumeration import (
     sample_block,
 )
 from monodom.kernel import (
+    Workspace,
     any_reach,
     batch_codes,
     closure_rows,
@@ -30,6 +31,7 @@ from monodom.kernel import (
     dominating_vertex_mask,
     qualifying_cycle_mask,
     rainbow_triangle_mask,
+    take_rows,
     two_colour_vertices_mask,
 )
 
@@ -342,3 +344,90 @@ def test_rainbow_mask_requires_three_colours():
     codes = random_codes(rng, 200, 5, colours=2)
     assert not rainbow_triangle_mask(codes, 5, colours=2).any()
     assert not rainbow_triangle_mask(codes, 5, colours=2, require_cyclic=False).any()
+
+
+# (colours, order): both sides of the uint32/uint64 switch and the word limit
+WORD_EDGES = [(3, n) for n in (3, 5, 6, 10, 11, 21)] + [(2, n) for n in (16, 17, 32)]
+
+
+def kernel_calls(codes, n, colours, ws=None):
+    """Every batch kernel on one code batch, as name -> result; the reach
+    words each mask reads are copied out, since with a workspace they live
+    in a buffer the next kernel call rewrites."""
+    out = {
+        "rainbow_triangle_mask": rainbow_triangle_mask(codes, n, colours, True, ws).copy(),
+        "rainbow_any": rainbow_triangle_mask(codes, n, colours, False, ws).copy(),
+        "two_colour_vertices_mask": two_colour_vertices_mask(codes, n, colours, ws).copy(),
+        "decode_rows": decode_rows(codes, n, colours, ws).copy(),
+        "closure_rows": closure_rows(decode_rows(codes, n, colours, ws), n, colours, ws).copy(),
+    }
+    out["closure_of_copy"] = closure_rows(out["decode_rows"], n, colours, ws).copy()
+    reach = any_reach(codes, n, colours, ws)
+    out["any_reach"] = reach.copy()
+    out["dominating_vertex_mask"] = dominating_vertex_mask(reach, n, ws).copy()
+    out["qualifying_cycle_mask"] = qualifying_cycle_mask(reach, n, ws).copy()
+    out["cover_order_tiers"] = cover_order_tiers(reach, n, 3, ws).copy()
+    rows = np.flatnonzero(out["rainbow_triangle_mask"] | (np.arange(len(codes)) % 3 == 0))
+    picked = take_rows(codes, rows, ws)
+    out["take_rows"] = picked.copy()
+    out["take_rows_again"] = take_rows(picked, np.arange(0, len(rows), 2), ws).copy()
+    out["take_rows_first"] = picked.copy()  # the first selection survives the second
+    return out
+
+
+@pytest.mark.parametrize("colours,n", WORD_EDGES)
+def test_workspace_reuse_matches_fresh_calls(colours, n):
+    """One workspace fed batches that grow, shrink and grow again gives
+    every kernel the result of the same call without a workspace."""
+    specs = [EnumerationSpec(n=n, colours=colours, mode="sampled", samples=4000, seed=n)]
+    if n <= 5:
+        specs.append(EnumerationSpec(n=n, colours=colours, shard=(0, 1) if n == 3 else (2, 7)))
+    ws = Workspace()
+    for spec in specs:
+        for start, size in ((0, 100), (100, 17), (117, 1), (0, 216), (150, 64)):
+            codes = batch_codes(spec, start, size, ws)
+            assert np.array_equal(codes, batch_codes(spec, start, size))
+            fresh = kernel_calls(batch_codes(spec, start, size), n, colours)
+            reused = kernel_calls(codes, n, colours, ws)
+            for name, want in fresh.items():
+                got = reused[name]
+                assert got.shape == want.shape and np.array_equal(got, want), (name, size)
+
+
+def readonly(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+def test_kernels_without_workspace_stay_pure():
+    """Without a workspace every kernel accepts read-only inputs, leaves
+    them unchanged and returns fresh memory on every call."""
+    rng = random.Random(17)
+    for colours, n in ((3, 6), (2, 17)):
+        codes = readonly(random_codes(rng, 50, n, colours))
+        adj = readonly(decode_rows(codes, n, colours))
+        reach = readonly(any_reach(codes, n, colours))
+        rows = readonly(np.arange(0, 50, 3))
+        spec = EnumerationSpec(n=n, colours=colours, mode="sampled", samples=100, seed=3)
+        calls = {
+            "batch_codes": lambda: batch_codes(spec, 10, 40),
+            "take_rows": lambda: take_rows(codes, rows),
+            "rainbow_triangle_mask": lambda: rainbow_triangle_mask(codes, n, colours),
+            "decode_rows": lambda: decode_rows(codes, n, colours),
+            "closure_rows": lambda: closure_rows(adj, n, colours),
+            "any_reach": lambda: any_reach(codes, n, colours),
+            "dominating_vertex_mask": lambda: dominating_vertex_mask(reach, n),
+            "qualifying_cycle_mask": lambda: qualifying_cycle_mask(reach, n),
+            "cover_order_tiers": lambda: cover_order_tiers(reach, n),
+            "two_colour_vertices_mask": lambda: two_colour_vertices_mask(codes, n, colours),
+        }
+        inputs = [a.copy() for a in (codes, adj, reach, rows)]
+        for name, call in calls.items():
+            first, second = call(), call()
+            assert np.array_equal(first, second), name
+            assert not np.shares_memory(first, second), name
+            for array in (codes, adj, reach, rows):
+                assert not np.shares_memory(first, array), name
+        for before, after in zip(inputs, (codes, adj, reach, rows)):
+            assert np.array_equal(before, after)
