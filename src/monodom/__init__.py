@@ -28,7 +28,6 @@ from .campaigns import (
     screen_and_audit,
     search_pattern,
     verify_conjecture,
-    verify_ssw2,
 )
 from .core import (
     COLOURS,
@@ -105,6 +104,5 @@ __all__ = [
     "search_pattern",
     "serialize",
     "verify_conjecture",
-    "verify_ssw2",
     "vertex_colour_profile",
 ]

@@ -582,12 +582,7 @@ def audit(t: ColouredTournament) -> AuditReport:
     report = AuditReport(t)
 
     tri = find_rainbow_triangle(t, require_cyclic=True)
-    witness = None
-    if tri is not None:
-        witness = {
-            "triangle": list(tri.vertices),
-            "arcs": [[a, b, c.char] for a, b, c in tri.arcs],
-        }
+    witness = None if tri is None else tri.to_dict()
     report.findings.append(CheckResult("t3", tri is None, witness))
 
     doms = dominating_vertices(t, rel)

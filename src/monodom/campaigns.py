@@ -8,14 +8,16 @@ by global index, extremal witnesses keep the lowest-index representative.
 
 Every campaign is a per-batch evaluator of kernel masks that one shared
 scan (`_Scan`) runs in every mode; the only rows it drops before the
-evaluator sees a batch are those the vertex filter rejects.  Batches hold
-BATCH_ROWS = 2^15 rows, so a batch's codes, index arithmetic and reach
-words stay in a core's L2 cache.  The scan passes one kernel.Workspace to
-every kernel call: batch-sized arrays allocated afresh cost a page fault
-per page on every batch, while the workspace's buffers fault in once, in
-the first batch, and a sampled scan draws each Philox block into it once.
-Expected violator counts are zero throughout, so violator storage is
-capped (the count is exact).
+evaluator sees a batch are those the vertex filter rejects.  Counts come
+from the masks alone (the pure engine in `domination` is only their
+oracle), with one campaign per claim: `verify_conjecture` takes 2 or 3
+colours.  Batches hold BATCH_ROWS = 2^15 rows, so a batch's codes, index
+arithmetic and reach words stay in a core's L2 cache.  The scan passes one
+kernel.Workspace to every kernel call: batch-sized arrays allocated afresh
+cost a page fault per page on every batch, while the workspace's buffers
+fault in once, in the first batch, and a sampled scan draws each Philox
+block into it once.  Expected violator counts are zero throughout, so
+violator storage is capped (the count is exact).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
-from .domination import min_cover
 from .enumeration import DEFAULT_BUDGET, EnumerationSpec
 from . import kernel
 
@@ -216,30 +217,20 @@ def verify_conjecture(
     spec: EnumerationSpec, require_cyclic: bool = True, progress: int = 0
 ) -> CampaignResult:
     """Check every instance for a cyclic rainbow triangle or a dominating
-    vertex; instances with neither are collected as violators."""
-    if spec.colours != 3:
-        raise ValueError("the conjecture concerns 3-coloured tournaments")
+    vertex; instances with neither are collected as violators.  With two
+    colours no triangle is rainbow: this is the Sands-Sauer-Woodrow claim."""
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         ws = scan.ws
-        t3 = kernel.rainbow_triangle_mask(
-            codes, spec.n, require_cyclic=require_cyclic, ws=ws)
-        bad = np.flatnonzero(~t3)
-        if len(bad):
-            reach = kernel.any_reach(kernel.take_rows(codes, bad, ws), spec.n, ws=ws)
-            scan.record(bad[~kernel.dominating_vertex_mask(reach, spec.n, ws)])
-
-    return _Scan(spec, progress).run(evaluate)
-
-
-def verify_ssw2(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
-    """Check every 2-coloured instance for a dominating vertex."""
-    if spec.colours != 2:
-        raise ValueError("this campaign concerns 2-coloured tournaments")
-
-    def evaluate(scan: _Scan, codes: np.ndarray) -> None:
-        reach = kernel.any_reach(codes, spec.n, colours=2, ws=scan.ws)
-        scan.record(np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n, scan.ws)))
+        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours, require_cyclic, ws)
+        bad = None  # the T_3-free rows, None for all (every batch at two colours)
+        if t3.any():
+            bad = np.flatnonzero(~t3)
+            codes = kernel.take_rows(codes, bad, ws)
+        if len(codes):
+            reach = kernel.any_reach(codes, spec.n, spec.colours, ws)
+            miss = np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n, ws))
+            scan.record(miss if bad is None else bad[miss])
 
     return _Scan(spec, progress).run(evaluate)
 
@@ -258,16 +249,14 @@ def estimate_f(
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         reach = kernel.any_reach(codes, spec.n, spec.colours, scan.ws)
         tiers = kernel.cover_order_tiers(reach, spec.n, k_max, scan.ws)
-        for order in (1, 2, 3):
+        for order in range(1, min(k_max, spec.n) + 1):
             rows = np.flatnonzero(tiers == order)
             if len(rows):
                 scan.witness("min_cover", str(order), rows[0])
-        for row in np.flatnonzero(tiers == 0):
-            cover = min_cover(scan.instance(row), k_max=k_max)
-            if cover is None:
-                scan.counts["uncovered"] += 1
-            value = "uncovered" if cover is None else str(cover.order)
-            scan.witness("min_cover", value, row)
+        uncovered = np.flatnonzero(tiers == 0)
+        scan.counts["uncovered"] += len(uncovered)
+        if len(uncovered):
+            scan.witness("min_cover", "uncovered", uncovered[0])
 
     scan = _Scan(spec, progress)
     scan.counts["uncovered"] = 0

@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from .auditor import audit
-from .campaigns import run_parallel, search_pattern, verify_conjecture, verify_ssw2
+from .campaigns import run_parallel, search_pattern, verify_conjecture
 from .core import (
     Colour,
     ColouredTournament,
@@ -31,7 +31,7 @@ from .domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from .enumeration import DEFAULT_BUDGET, MODES, EnumerationSpec, philox_digits
+from .enumeration import DEFAULT_BUDGET, FILTERS, MODES, EnumerationSpec, philox_digits
 
 PROGRESS_THRESHOLD = 10**7
 PROGRESS_EVERY = 10**6
@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--filter", choices=("none", "two-colour-vertices"),
-                    default="none")
+    sp.add_argument("--filter", choices=FILTERS, default="none")
     sp.add_argument("--cyclic", choices=("on", "off"), default="on")
     sp.add_argument("--workers", type=_parse_workers, default=0,
                     help="0 picks the machine's CPU count")
@@ -155,10 +154,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             {
                 "check": "t3" if cyclic else "rainbow_triangle",
                 "found": tri is not None,
-                "witness": None if tri is None else {
-                    "triangle": list(tri.vertices),
-                    "arcs": [[a, b, c.char] for a, b, c in tri.arcs],
-                },
+                "witness": None if tri is None else tri.to_dict(),
             },
         ]
         print(canonical_json(report_dict(t, findings)))
@@ -238,17 +234,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     workers = args.workers or os.cpu_count() or 1
     progress = PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
-    if args.colours == 2:
-        result = run_parallel(verify_ssw2, spec, workers=workers, progress=progress)
-        label = "2-coloured dominating vertex"
-    else:
-        cyclic = args.cyclic == "on"
-        result = run_parallel(
-            verify_conjecture, spec, workers=workers,
-            require_cyclic=cyclic, progress=progress,
-        )
-        label = ("cyclic T_3 or dominating vertex" if cyclic
-                 else "rainbow triangle or dominating vertex")
+    cyclic = args.cyclic == "on"
+    result = run_parallel(
+        verify_conjecture, spec, workers=workers,
+        require_cyclic=cyclic, progress=progress,
+    )
+    label = ("2-coloured dominating vertex" if args.colours == 2
+             else "cyclic T_3 or dominating vertex" if cyclic
+             else "rainbow triangle or dominating vertex")
     if args.format == "json":
         print(result.to_json())
     else:

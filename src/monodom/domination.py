@@ -157,6 +157,11 @@ class RainbowTriangle:
     cyclic: bool
     arcs: tuple[tuple[int, int, Colour], ...]
 
+    def to_dict(self) -> dict:
+        """The witness form every report uses."""
+        arcs = [[a, b, c.char] for a, b, c in self.arcs]
+        return {"triangle": list(self.vertices), "arcs": arcs}
+
 
 def _triangle(t: ColouredTournament, i: int, j: int, k: int) -> RainbowTriangle | None:
     arcs = []

@@ -88,6 +88,7 @@ class EnumerationSpec:
                 raise ValueError("a patterned Hamilton cycle needs order >= 3")
             if any(int(c) >= self.colours for c in self.pattern):
                 raise ValueError("pattern colour outside the palette")
+            object.__setattr__(self, "pattern", tuple(map(Colour, self.pattern)))
             pattern_pinned_codes(self.n, self.pattern)  # validates divisibility
         if self.mode == "sampled":
             if self.samples < 1:

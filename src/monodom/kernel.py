@@ -413,11 +413,11 @@ def qualifying_cycle_mask(
 def cover_order_tiers(
     reach: np.ndarray, n: int, k_max: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Smallest covering-set order per instance, tested up to min(k_max, 3).
+    """Smallest covering-set order per instance, exact up to k_max >= 1.
 
     A set covers when the union of its members' dominated sets plus the
     members themselves is everything.  Returns 0 where no set of order
-    <= min(k_max, 3) covers; callers fall back to the per-instance engine.
+    <= k_max covers.  Each order tests only the rows no smaller set covers.
     """
     ws = ws or Workspace()
     covered, full = _covered(reach, n, ws)
@@ -425,7 +425,7 @@ def cover_order_tiers(
     np.equal(covered, full, out=flags)
     order = ws.buffer("cover_order_tiers", (reach.shape[0],), np.uint8)
     np.logical_or.reduce(flags, axis=0, out=order)
-    for size in range(2, min(k_max, 3) + 1):
+    for size in range(2, min(k_max, n) + 1):
         pend = np.flatnonzero(order == 0)  # rows no smaller set covers
         if not len(pend):
             break

@@ -21,7 +21,6 @@ from monodom.campaigns import (
     screen_and_audit,
     search_pattern,
     verify_conjecture,
-    verify_ssw2,
 )
 from monodom.core import (
     COLOURS,
@@ -48,7 +47,7 @@ def test_criterion_1_two_colour_domination():
     t0 = time.time()
     violations = 0
     for n in range(1, 6):
-        r = verify_ssw2(EnumerationSpec(n=n, colours=2))
+        r = verify_conjecture(EnumerationSpec(n=n, colours=2))
         violations += r.counts["violations"]
         assert r.counts["enumerated"] == 4 ** (n * (n - 1) // 2)
     elapsed = time.time() - t0

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from monodom import campaigns, enumeration, kernel
@@ -13,9 +14,9 @@ from monodom.campaigns import (
     run_parallel,
     search_pattern,
     verify_conjecture,
-    verify_ssw2,
 )
 from monodom.core import Colour, parse
+from monodom.domination import find_rainbow_triangle
 from monodom.enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec
 
 RB = (Colour.RED, Colour.BLUE)
@@ -41,14 +42,26 @@ def test_conjecture_non_cyclic_variant():
 
 def test_ssw2_exhaustive_small():
     for n in (1, 2, 3, 4):
-        r = verify_ssw2(EnumerationSpec(n=n, colours=2))
+        r = verify_conjecture(EnumerationSpec(n=n, colours=2))
         assert r.counts["violations"] == 0
         assert r.counts["enumerated"] == 4 ** (n * (n - 1) // 2)
 
 
-def test_ssw2_rejects_three_colours():
-    with pytest.raises(ValueError):
-        verify_ssw2(EnumerationSpec(n=3))
+def test_conjecture_violators_rest_on_the_dominating_mask(monkeypatch):
+    """With a dominating mask that finds nothing, every T_3-free row is a
+    violator.  At two colours that is every row: a T_3 mask decoding
+    2-colour codes as 3-colour ones would excuse some of them."""
+    monkeypatch.setattr(kernel, "dominating_vertex_mask",
+                        lambda reach, n, ws=None: np.zeros(len(reach), dtype=bool))
+    for spec in (EnumerationSpec(n=4, colours=2),
+                 EnumerationSpec(n=6, colours=2, mode="sampled", samples=5000, seed=2)):
+        r = verify_conjecture(spec)
+        assert r.counts["violations"] == r.counts["enumerated"]
+    # with three colours the violators are then the T_3-free rows: 216 less
+    # the 12 cyclic rainbow triangles
+    r = verify_conjecture(EnumerationSpec(n=3))
+    assert r.counts["violations"] == 204
+    assert not any(find_rainbow_triangle(parse(v["instance"])) for v in r.violators)
 
 
 def test_filtered_campaign_counts():
@@ -150,6 +163,10 @@ def test_search_pattern_rgb3_single_completion():
     assert r.check_failures == {"t3": 1, "dominating_vertex": 0, "genhamilton": 0}
 
 
+def test_search_pattern_takes_integer_colours():
+    assert search_pattern(4, (0, 1)).to_json() == search_pattern(4, RB).to_json()
+
+
 def test_search_pattern_sampled_deterministic():
     a = search_pattern(6, RB, mode="sampled", samples=5000, seed=8)
     b = search_pattern(6, RB, mode="sampled", samples=5000, seed=8)
@@ -167,8 +184,8 @@ def test_run_parallel_matches_direct():
 def test_run_parallel_ssw2_and_estimate_f():
     spec2 = EnumerationSpec(n=3, colours=2)
     assert (
-        run_parallel(verify_ssw2, spec2, workers=2).to_json()
-        == verify_ssw2(spec2).to_json()
+        run_parallel(verify_conjecture, spec2, workers=2).to_json()
+        == verify_conjecture(spec2).to_json()
     )
     spec3 = EnumerationSpec(n=3)
     assert (
@@ -290,7 +307,7 @@ def test_scan_allocates_only_while_batches_grow(monkeypatch, name):
 # SHA-256 of to_json() for reports the campaigns have always produced
 GOLDEN_REPORTS = {
     "ssw2 n=4": (
-        lambda: verify_ssw2(EnumerationSpec(n=4, colours=2)),
+        lambda: verify_conjecture(EnumerationSpec(n=4, colours=2)),
         "936c60a1e0e109bc94a23730b1252a9467bb90067fa102dee195636708dc6fe5"),
     "estimate_f filtered n=4 2/5 k_max=1": (
         lambda: estimate_f(

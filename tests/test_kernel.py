@@ -8,6 +8,7 @@ import pytest
 from monodom.auditor import genhamilton_check
 from monodom.core import Colour, ColouredTournament, pair_slots, parse
 from monodom.domination import (
+    DominationRelation,
     at_most_two_everywhere,
     domination_relation,
     dominating_vertices,
@@ -325,18 +326,32 @@ def test_qualifying_mask_counts_n3_n4():
 
 
 def test_cover_tiers_match_min_cover():
+    """The tier is min_cover's order exactly, 0 where min_cover finds none.
+
+    Random instances cover with one or two vertices, so sparse random reach
+    words, fed to min_cover as a relation, reach the orders 3 and 4."""
     rng = random.Random(404)
-    for n in range(2, 7):
-        codes = random_codes(rng, 120, n)
-        reach = any_reach(codes, n)
-        tiers = cover_order_tiers(reach, n, k_max=3)
-        for r, row in enumerate(codes):
-            t = ColouredTournament.from_codes(n, list(row))
-            cover = min_cover(t, k_max=3)
-            if tiers[r] == 0:
-                assert cover is None or cover.order > 3
-            else:
-                assert cover is not None and cover.order == int(tiers[r])
+    for k_max in (1, 2, 3, 4):
+        for n in range(2, 7):
+            codes = random_codes(rng, 120, n)
+            tiers = cover_order_tiers(any_reach(codes, n), n, k_max=k_max)
+            for r, row in enumerate(codes):
+                cover = min_cover(ColouredTournament.from_codes(n, list(row)), k_max=k_max)
+                assert int(tiers[r]) == (0 if cover is None else cover.order)
+        seen = set()
+        for n in (7, 9):
+            # a quarter of the bits set in even rows, five eighths in odd ones
+            reach = np.array(
+                [[rng.getrandbits(n) & rng.getrandbits(n) | r % 2 * rng.getrandbits(n)
+                  for _ in range(n)] for r in range(120)], dtype=np.uint32)
+            tiers = cover_order_tiers(reach, n, k_max=k_max)
+            t = ColouredTournament.from_codes(n, [0] * (n * (n - 1) // 2))
+            for r, words in enumerate(reach.tolist()):
+                rel = DominationRelation(n, (tuple(words), (0,) * n, (0,) * n))
+                cover = min_cover(t, k_max=k_max, rel=rel)
+                assert int(tiers[r]) == (0 if cover is None else cover.order)
+                seen.add(int(tiers[r]))
+        assert seen == set(range(k_max + 1))
 
 
 def test_rainbow_mask_requires_three_colours():
