@@ -33,7 +33,7 @@ ALARM_VERDICT = "ALL NECESSARY CONDITIONS PASS"
 class CycleView:
     """A directed cycle as a rotation-indexed vertex sequence.
 
-    Supports successor/predecessor offsets and segment extraction along the
+    Supports successor/predecessor lookup and segment extraction along the
     cycle orientation.  When a tournament is supplied, consecutive vertices
     must be joined by arcs in cycle direction.
     """
@@ -55,16 +55,13 @@ class CycleView:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._pos
+    def successor(self, x: int) -> int:
+        """x^+, the next vertex along the cycle."""
+        return self.order[(self._pos[x] + 1) % len(self.order)]
 
-    def successor(self, x: int, i: int = 1) -> int:
-        """x^{+i} by rotation."""
-        return self.order[(self._pos[x] + i) % len(self.order)]
-
-    def predecessor(self, x: int, i: int = 1) -> int:
-        """x^{-i} by rotation."""
-        return self.order[(self._pos[x] - i) % len(self.order)]
+    def predecessor(self, x: int) -> int:
+        """x^-, the previous vertex along the cycle."""
+        return self.order[self._pos[x] - 1]
 
     def segment(self, x: int, y: int) -> tuple[int, ...]:
         """Vertices of the directed subpath xCy, endpoints included."""
@@ -86,7 +83,6 @@ class GenHamiltonResult:
 
     holds: bool
     cycle: tuple[int, ...] | None
-    qualifying_count: int
     diagnosis: dict | None = None
 
 
@@ -109,7 +105,7 @@ def genhamilton_check(
     n = t.n
     rel = rel or domination_relation(t)
     if n < 3:
-        return GenHamiltonResult(False, None, 0, {"reason": "no_directed_cycle_possible"})
+        return GenHamiltonResult(False, None, {"reason": "no_directed_cycle_possible"})
     nd = _non_dominated_masks(t, rel)
     if all(m and not m & (m - 1) for m in nd):
         pred = [m.bit_length() - 1 for m in nd]
@@ -117,8 +113,8 @@ def genhamilton_check(
         while len(walk) < n and pred[walk[-1]] != 0:
             walk.append(pred[walk[-1]])
         if len(walk) == n and pred[walk[-1]] == 0:
-            return GenHamiltonResult(True, (0, *reversed(walk[1:])), 1)
-    return GenHamiltonResult(False, None, 0, _genhamilton_diagnosis(t, nd))
+            return GenHamiltonResult(True, (0, *reversed(walk[1:])))
+    return GenHamiltonResult(False, None, _genhamilton_diagnosis(t, nd))
 
 
 def _genhamilton_diagnosis(t: ColouredTournament, nd: list[int]) -> dict:
@@ -176,10 +172,10 @@ class ColourProfilePartition:
       red_out:  pivot sends a red arc     red_in:  pivot receives a red arc
       blue_out: pivot sends a blue arc    blue_in: pivot receives a blue arc
 
-    Refinements carry the domination colour: for out-classes the colour in
-    which the member dominates the pivot, for in-classes the colour in which
-    the pivot dominates the member (e.g. blue_in_blue = members of blue_in
-    that the pivot dominates in blue).
+    Four refinements carry the class's own colour as the domination colour:
+    out-class members that dominate the pivot in it (red_out_red,
+    blue_out_blue), and in-class members that the pivot dominates in it
+    (red_in_red, blue_in_blue).
     """
 
     pivot: int
@@ -189,22 +185,12 @@ class ColourProfilePartition:
     blue_out: frozenset[int]
     blue_in: frozenset[int]
     red_out_red: frozenset[int]
-    red_out_blue: frozenset[int]
     red_in_red: frozenset[int]
-    red_in_blue: frozenset[int]
-    blue_out_red: frozenset[int]
     blue_out_blue: frozenset[int]
-    blue_in_red: frozenset[int]
     blue_in_blue: frozenset[int]
 
     def colour_map_chars(self) -> dict[str, str]:
         return {orig.char: new.char for orig, new in self.colour_map.items()}
-
-
-def _renamed_relation(rel: DominationRelation, mapping: dict[Colour, Colour]) -> DominationRelation:
-    # rows of the renamed tournament are the original rows, permuted by colour
-    inverse = {new: orig for orig, new in mapping.items()}
-    return DominationRelation(rel.n, tuple(rel.rows[inverse[c]] for c in COLOURS))
 
 
 def colour_profile_partition(
@@ -213,7 +199,8 @@ def colour_profile_partition(
     cycle: CycleView,
     rel: DominationRelation | None = None,
 ) -> ColourProfilePartition:
-    """Compute the eight refined classes around pivot x on a qualifying cycle.
+    """Compute the four classes and their four refinements around pivot x on
+    a qualifying cycle.
 
     The pivot must meet at most two colours; the supplied cycle must be a
     qualifying Hamilton cycle.  Renaming: missing colour -> green, colour of
@@ -234,7 +221,6 @@ def colour_profile_partition(
     # prefer the other *present* colour as blue; spare missing colours to green
     others.sort(key=lambda c: (c not in present, c))
     mapping = {in_colour: Colour.RED, others[0]: Colour.BLUE, others[1]: Colour.GREEN}
-    renamed = _renamed_relation(rel, mapping)
 
     out_sets = {Colour.RED: set(), Colour.BLUE: set()}
     in_sets = {Colour.RED: set(), Colour.BLUE: set()}
@@ -247,11 +233,14 @@ def colour_profile_partition(
         else:
             in_sets[mapping[t.arc_colour(v, x)]].add(v)  # type: ignore[index]
 
-    def refine_out(members: set[int], colour: Colour) -> frozenset[int]:
-        return frozenset(v for v in members if renamed.rows[colour][v] >> x & 1)
+    # renamed red and blue are, through the inverse map, in_colour and others[0]
+    red, blue = rel.rows[in_colour], rel.rows[others[0]]
 
-    def refine_in(members: set[int], colour: Colour) -> frozenset[int]:
-        return frozenset(v for v in members if renamed.rows[colour][x] >> v & 1)
+    def refine_out(members: set[int], rows: tuple[int, ...]) -> frozenset[int]:
+        return frozenset(v for v in members if rows[v] >> x & 1)
+
+    def refine_in(members: set[int], rows: tuple[int, ...]) -> frozenset[int]:
+        return frozenset(v for v in members if rows[x] >> v & 1)
 
     return ColourProfilePartition(
         pivot=x,
@@ -260,14 +249,10 @@ def colour_profile_partition(
         red_in=frozenset(in_sets[Colour.RED]),
         blue_out=frozenset(out_sets[Colour.BLUE]),
         blue_in=frozenset(in_sets[Colour.BLUE]),
-        red_out_red=refine_out(out_sets[Colour.RED], Colour.RED),
-        red_out_blue=refine_out(out_sets[Colour.RED], Colour.BLUE),
-        red_in_red=refine_in(in_sets[Colour.RED], Colour.RED),
-        red_in_blue=refine_in(in_sets[Colour.RED], Colour.BLUE),
-        blue_out_red=refine_out(out_sets[Colour.BLUE], Colour.RED),
-        blue_out_blue=refine_out(out_sets[Colour.BLUE], Colour.BLUE),
-        blue_in_red=refine_in(in_sets[Colour.BLUE], Colour.RED),
-        blue_in_blue=refine_in(in_sets[Colour.BLUE], Colour.BLUE),
+        red_out_red=refine_out(out_sets[Colour.RED], red),
+        red_in_red=refine_in(in_sets[Colour.RED], red),
+        blue_out_blue=refine_out(out_sets[Colour.BLUE], blue),
+        blue_in_blue=refine_in(in_sets[Colour.BLUE], blue),
     )
 
 
@@ -329,7 +314,6 @@ def descent_check(
     x: int,
     cycle: CycleView,
     partition: ColourProfilePartition | None = None,
-    rel: DominationRelation | None = None,
 ) -> DescentTrace:
     """Run the nested-subpath descent around pivot x until it stalls.
 
@@ -339,8 +323,7 @@ def descent_check(
     roles swap every round and segments must strictly shrink.  The returned
     trace records every round and the obstruction that stopped the descent.
     """
-    rel = rel or domination_relation(t)
-    part = partition or colour_profile_partition(t, x, cycle, rel)
+    part = partition or colour_profile_partition(t, x, cycle)
 
     ms = sorted(part.blue_out_blue)
     ns = sorted(part.red_in_red)
@@ -593,7 +576,8 @@ def audit(t: ColouredTournament) -> AuditReport:
     gh = genhamilton_check(t, rel)
     gh_witness: dict | None
     if gh.holds:
-        gh_witness = {"cycle": list(gh.cycle or ()), "qualifying_count": gh.qualifying_count}
+        # the qualifying cycle is unique up to rotation
+        gh_witness = {"cycle": list(gh.cycle or ()), "qualifying_count": 1}
     else:
         gh_witness = gh.diagnosis
     report.findings.append(CheckResult("genhamilton", gh.holds, gh_witness))
@@ -637,7 +621,7 @@ def audit(t: ColouredTournament) -> AuditReport:
                  "renaming": renaming}
             )
         try:
-            traces.append(descent_check(t, x, cycle, part, rel))
+            traces.append(descent_check(t, x, cycle, part))
         except DescentPreconditionError:
             pass  # preconditions failed; recorded via lemma_m / lemma_n above
     report.findings.append(CheckResult("lemma_m", not m_failures, m_failures or None))

@@ -90,12 +90,14 @@ def merge_results(
 ) -> CampaignResult:
     """Combine shard results into the result of the covering run.
 
-    Violator lists are exact as long as no input was truncated at the storage
-    cap; counts are always exact.
+    Results must share the target spec apart from the shard.  Counts add;
+    violators and alarms keep the VIOLATOR_CAP lowest indices, as that run does.
     """
     if not results:
         raise ValueError("nothing to merge")
     spec = spec or results[0].spec.unsharded()
+    if any(r.spec.unsharded() != spec.unsharded() for r in results):
+        raise ValueError("cannot merge results of different specs")
     counts: dict[str, int] = {}
     failures: dict[str, int] = {}
     violators: list[dict] = []
@@ -112,6 +114,9 @@ def merge_results(
                 if value not in slot or witness["index"] < slot[value]["index"]:
                     slot[value] = witness
     violators.sort(key=lambda v: v["index"])
+    if "alarms" in extremal:
+        kept = sorted(extremal["alarms"].items(), key=lambda kv: kv[1]["index"])
+        extremal["alarms"] = dict(kept[:VIOLATOR_CAP])
     return CampaignResult(
         spec=spec,
         counts=counts,
@@ -339,8 +344,9 @@ def run_parallel(
 
     Sub-shard j of the spec's shard (k, m) is (k + j*m, m*workers); their
     union is exactly the original shard, so the merged result equals the
-    single-process run.
+    single-process run.  No more workers start than the shard has rows.
     """
+    workers = min(workers, spec.shard_size())
     if workers <= 1:
         return campaign(spec, **kwargs)
     k, m = spec.shard

@@ -28,6 +28,7 @@ from .core import (
 from .domination import (
     dominated_by_all,
     dominating_vertices,
+    domination_relation,
     find_rainbow_triangle,
     min_cover,
 )
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", choices=FILTERS, default="none")
     sp.add_argument("--cyclic", choices=("on", "off"), default="on")
     sp.add_argument("--workers", type=_parse_workers, default=0,
-                    help="0 picks the machine's CPU count")
+                    help="0 (or more than the machine's CPU count) picks the CPU count")
     add_format(sp)
 
     sp = sub.add_parser("search", help="scan completions of a patterned cycle")
@@ -132,8 +133,7 @@ def _read_instance(source: str) -> ColouredTournament:
         return parse(fh.read())
 
 
-def _triangle_line(t, cyclic: bool) -> str:
-    tri = find_rainbow_triangle(t, require_cyclic=cyclic)
+def _triangle_line(tri, cyclic: bool) -> str:
     label = "T_3" if cyclic else "rainbow triangle"
     if tri is None:
         return f"{label}: none"
@@ -144,8 +144,9 @@ def _triangle_line(t, cyclic: bool) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     t = _read_instance(args.input)
     cyclic = args.cyclic == "on"
-    doms = dominating_vertices(t)
-    dby = dominated_by_all(t)
+    rel = domination_relation(t)
+    doms = dominating_vertices(t, rel)
+    dby = dominated_by_all(t, rel)
     tri = find_rainbow_triangle(t, require_cyclic=cyclic)
     if args.format == "json":
         findings = [
@@ -162,7 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"n={t.n}")
         print("dominating vertices:", " ".join(map(str, doms)) if doms else "none")
         print("dominated by all:", " ".join(map(str, dby)) if dby else "none")
-        print(_triangle_line(t, cyclic))
+        print(_triangle_line(tri, cyclic))
     return 0
 
 
@@ -232,7 +233,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n=args.order, colours=args.colours, mode=args.mode, filter=args.filter,
         shard=args.shard, samples=args.samples, seed=args.seed, budget=args.budget,
     )
-    workers = args.workers or os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = min(args.workers or cpus, cpus)
     progress = PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
     cyclic = args.cyclic == "on"
     result = run_parallel(

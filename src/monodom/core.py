@@ -19,6 +19,8 @@ import json
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
 
+_CHARS = "rbg"  # the colour <-> character table: colour c is written _CHARS[c]
+
 
 class Colour(IntEnum):
     """Arc colour; the fixed order red < blue < green breaks ties everywhere."""
@@ -29,17 +31,19 @@ class Colour(IntEnum):
 
     @property
     def char(self) -> str:
-        return "rbg"[self]
+        return _CHARS[self]
 
     @classmethod
     def from_char(cls, ch: str) -> "Colour":
-        try:
-            return cls("rbg".index(ch))
-        except ValueError:
-            raise ValueError(f"unknown colour character {ch!r}") from None
+        colour = _COLOUR_OF.get(ch)
+        if colour is None:
+            raise ValueError(f"unknown colour character {ch!r}")
+        return colour
 
 
 COLOURS = (Colour.RED, Colour.BLUE, Colour.GREEN)
+_COLOUR_OF = dict(zip(_CHARS, COLOURS))
+_CELL_CHAR = {None: ".", **dict(zip(COLOURS, _CHARS))}
 
 
 class TournamentFormatError(ValueError):
@@ -254,13 +258,14 @@ def parse(text: str) -> ColouredTournament:
         for j, ch in enumerate(row):
             if ch == ".":
                 continue
-            if ch not in "rbg":
+            colour = _COLOUR_OF.get(ch)
+            if colour is None:
                 raise TournamentFormatError(
                     f"unknown colour character {ch!r}", line=i + 2, column=j + 1
                 )
             if i == j:
                 raise TournamentFormatError("diagonal must be '.'", line=i + 2, column=j + 1)
-            matrix[i][j] = Colour.from_char(ch)
+            matrix[i][j] = colour
     for i in range(n):
         for j in range(i + 1, n):
             fwd, bwd = matrix[i][j], matrix[j][i]
@@ -277,14 +282,7 @@ def parse(text: str) -> ColouredTournament:
 
 def serialize(t: ColouredTournament) -> str:
     """Byte-deterministic inverse of parse (LF newlines, trailing newline)."""
-    rows = []
-    for i in range(t.n):
-        rows.append(
-            "".join(
-                c.char if (c := t.arc_colour(i, j)) is not None else "."
-                for j in range(t.n)
-            )
-        )
+    rows = ["".join([_CELL_CHAR[c] for c in row]) for row in t._matrix]
     return f"{t.n}\n" + "\n".join(rows) + "\n"
 
 

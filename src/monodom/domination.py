@@ -32,9 +32,6 @@ class DominationRelation:
             rows[0][x] | rows[1][x] | rows[2][x] for x in range(n)
         )
 
-    def reaches(self, colour: Colour, x: int, y: int) -> bool:
-        return bool(self.rows[colour][x] >> y & 1)
-
     def colours(self, x: int, y: int) -> frozenset[Colour]:
         """Colours in which x dominates y; empty = no domination."""
         return frozenset(c for c in COLOURS if self.rows[c][x] >> y & 1)
@@ -96,12 +93,10 @@ def dominated_by_all(
 ) -> list[int]:
     """All y dominated by every other vertex, ascending."""
     rel = rel or domination_relation(t)
-    n = t.n
-    out = []
-    for y in range(n):
-        if all(rel.any_rows[x] >> y & 1 for x in range(n) if x != y):
-            out.append(y)
-    return out
+    common = (1 << t.n) - 1  # the vertices every other vertex dominates
+    for x in range(t.n):
+        common &= rel.any_rows[x] | 1 << x
+    return [y for y in range(t.n) if common >> y & 1]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from monodom.auditor import (
     genhamilton_check,
     is_qualifying_cycle,
 )
-from monodom.core import Colour, ColouredTournament, parse
+from monodom.core import COLOURS, Colour, ColouredTournament, parse, serialize
 from monodom.domination import dominates, domination_relation, vertex_colour_profile
 
 T3 = parse("3\n.r.\n..b\ng..\n")
@@ -49,9 +49,8 @@ def test_cycle_view_rotation():
     c = CycleView((0, 1, 2, 3, 4, 5))
     assert c.successor(5) == 0
     assert c.predecessor(0) == 5
-    assert c.successor(1, 3) == 4
-    assert c.predecessor(1, 2) == 5
-    assert len(c) == 6 and 3 in c and 7 not in c
+    assert c.successor(2) == 3 and c.predecessor(2) == 1
+    assert len(c) == 6
 
 
 def test_cycle_view_segment():
@@ -84,7 +83,6 @@ def test_genhamilton_t3():
     r = genhamilton_check(T3)
     assert r.holds
     assert r.cycle == (0, 1, 2)
-    assert r.qualifying_count == 1
     assert r.diagnosis is None
 
 
@@ -95,7 +93,6 @@ def test_genhamilton_census_n3():
         r = genhamilton_check(ColouredTournament.from_codes(3, list(codes)))
         if r.holds:
             holders[codes] = r.cycle
-            assert r.qualifying_count == 1
     assert holders == QUALIFYING_N3
 
 
@@ -181,8 +178,7 @@ def test_partition_t3_pivot0():
     assert part.blue_out == {1}
     assert part.red_in == {2}
     assert part.red_out == part.blue_in == frozenset()
-    for name in ("red_out_red", "red_out_blue", "red_in_red", "red_in_blue",
-                 "blue_out_red", "blue_out_blue", "blue_in_red", "blue_in_blue"):
+    for name in ("red_out_red", "red_in_red", "blue_out_blue", "blue_in_blue"):
         assert getattr(part, name) == frozenset()
 
 
@@ -222,6 +218,54 @@ def test_partition_rejects_non_qualifying_cycle():
         colour_profile_partition(t, 0, CycleView((0, 1, 2, 3)))
 
 
+def test_partition_matches_its_definitions_seeded(monkeypatch):
+    """Classes and refinements around every pivot meeting at most two
+    colours, on instances of order 4-8 around the pinned Hamilton cycle
+    0 -> 1 -> ... -> 0.  No instance of order 4 to 6 has a qualifying cycle
+    and those of order 3 give empty refinements only, so the cycle is taken
+    as qualifying here: the definitions do not depend on it."""
+    import monodom.auditor as auditor_module
+
+    monkeypatch.setattr(auditor_module, "is_qualifying_cycle", lambda t, order, rel=None: True)
+    rng = random.Random(4812)
+    refinements = ("red_out_red", "red_in_red", "blue_out_blue", "blue_in_blue")
+    nonempty = 0
+    for _ in range(300):
+        n = rng.randrange(4, 9)
+        palette = rng.sample(COLOURS, rng.choice((2, 3)))
+        arcs = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = (i, j) if j == i + 1 or rng.random() < 0.5 else (j, i)
+                arcs[(n - 1, 0) if (i, j) == (0, n - 1) else pair] = rng.choice(palette)
+        t = ColouredTournament.from_arcs(n, arcs)
+        cycle = CycleView(range(n), t)
+        for x in range(n):
+            if len(vertex_colour_profile(t, x)) > 2:
+                continue
+            part = colour_profile_partition(t, x, cycle)
+            inv = {new: orig for orig, new in part.colour_map.items()}
+            red, blue = inv[Colour.RED], inv[Colour.BLUE]
+            assert red is t.arc_colour(cycle.predecessor(x), x)
+            rest = set(range(n)) - {x}
+            red_out = {v for v in rest if t.arc_colour(x, v) is red}
+            red_in = {v for v in rest if t.arc_colour(v, x) is red}
+            blue_out = {v for v in rest if t.arc_colour(x, v) is blue}
+            blue_in = {v for v in rest if t.arc_colour(v, x) is blue}
+            expect = {
+                "red_out": red_out, "red_in": red_in,
+                "blue_out": blue_out, "blue_in": blue_in,
+                "red_out_red": {v for v in red_out if red in dominates(t, v, x)},
+                "red_in_red": {v for v in red_in if red in dominates(t, x, v)},
+                "blue_out_blue": {v for v in blue_out if blue in dominates(t, v, x)},
+                "blue_in_blue": {v for v in blue_in if blue in dominates(t, x, v)},
+            }
+            for name, members in expect.items():
+                assert getattr(part, name) == members, (name, x, serialize(t))
+            nonempty += sum(bool(expect[name]) for name in refinements)
+    assert nonempty > 100
+
+
 # -- descent ------------------------------------------------------------------
 
 # 6-vertex fixture: Hamilton cycle 0..5 in cycle order, pivot 1 meets only
@@ -239,10 +283,8 @@ def descent_fixture():
                     Colour.GREEN: Colour.GREEN},
         red_out=frozenset({4}), red_in=frozenset({0}),
         blue_out=frozenset({2, 3}), blue_in=frozenset({5}),
-        red_out_red=frozenset({4}), red_out_blue=frozenset(),
-        red_in_red=frozenset({0}), red_in_blue=frozenset({0}),
-        blue_out_red=frozenset({2}), blue_out_blue=frozenset({2, 3}),
-        blue_in_red=frozenset(), blue_in_blue=frozenset({5}),
+        red_out_red=frozenset({4}), red_in_red=frozenset({0}),
+        blue_out_blue=frozenset({2, 3}), blue_in_blue=frozenset({5}),
     )
     return t, cycle, part
 
@@ -299,10 +341,8 @@ def test_descent_blocked_scan_detail():
                     Colour.BLUE: Colour.GREEN},
         red_out=frozenset({3}), red_in=frozenset({0}),
         blue_out=frozenset({2, 4}), blue_in=frozenset({5}),
-        red_out_red=frozenset({3}), red_out_blue=frozenset({3}),
-        red_in_red=frozenset({0}), red_in_blue=frozenset(),
-        blue_out_red=frozenset({2, 4}), blue_out_blue=frozenset({2, 4}),
-        blue_in_red=frozenset({5}), blue_in_blue=frozenset({5}),
+        red_out_red=frozenset({3}), red_in_red=frozenset({0}),
+        blue_out_blue=frozenset({2, 4}), blue_in_blue=frozenset({5}),
     )
     trace = descent_check(t, 1, cycle, partition=part)
     assert trace.obstruction == "no_admissible_t"

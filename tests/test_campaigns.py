@@ -1,11 +1,13 @@
 """Campaign counts, merge exactness, sampled determinism, parallel runs."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from monodom import campaigns, enumeration, kernel
+from monodom.auditor import AuditReport, CheckResult
 from monodom.campaigns import (
     BATCH_ROWS,
     CampaignResult,
@@ -99,6 +101,40 @@ def test_merge_rejects_empty():
         merge_results([])
 
 
+def test_merge_rejects_results_of_different_specs():
+    base = EnumerationSpec(n=4, mode="sampled", samples=10, seed=1, pattern=RB)
+    halves = [CampaignResult(replace(base, shard=(k, 2)), {"enumerated": 5}) for k in range(2)]
+    assert merge_results(halves).spec == base
+    assert merge_results(halves[::-1], spec=base).counts == {"enumerated": 10}
+    for other in (replace(base, seed=2), replace(base, samples=11), replace(base, n=6),
+                  replace(base, pattern=RGB[:2]), replace(base, colours=2, pattern=None),
+                  replace(base, filter="two-colour-vertices"),
+                  replace(base, mode="exhaustive", samples=0)):
+        stray = CampaignResult(replace(other, shard=(1, 2)), {"enumerated": 5})
+        with pytest.raises(ValueError, match="different specs"):
+            merge_results([halves[0], stray])
+        with pytest.raises(ValueError, match="different specs"):
+            merge_results(halves, spec=other)
+
+
+def test_merged_alarms_keep_the_lowest_indices(monkeypatch):
+    """With every row an alarm, the unsharded search keeps the first
+    VIOLATOR_CAP alarms; a merge of its shards must keep the same ones."""
+    none = lambda rows, *a, **k: np.zeros(len(rows), dtype=bool)  # noqa: E731
+    monkeypatch.setattr(campaigns, "VIOLATOR_CAP", 2)
+    monkeypatch.setattr(kernel, "qualifying_cycle_mask",
+                        lambda reach, n, ws=None: np.ones(len(reach), dtype=bool))
+    monkeypatch.setattr(kernel, "rainbow_triangle_mask", none)
+    monkeypatch.setattr(kernel, "dominating_vertex_mask", none)
+    monkeypatch.setattr(campaigns, "audit", lambda t: AuditReport(t, [CheckResult("t3", True)]))
+    whole = search_pattern(4, RB)
+    assert whole.counts["alarms"] == whole.counts["enumerated"] == 36
+    assert sorted(whole.extremal["alarms"]) == ["0", "1"]
+    parts = [search_pattern(4, RB, shard=(k, 3)) for k in range(3)]
+    assert all(len(p.extremal["alarms"]) == 2 for p in parts)
+    assert merge_results(parts).to_json() == whole.to_json()
+
+
 def test_sampled_runs_byte_identical():
     spec = EnumerationSpec(n=6, mode="sampled", samples=20000, seed=42)
     a = verify_conjecture(spec)
@@ -179,6 +215,36 @@ def test_run_parallel_matches_direct():
     direct = verify_conjecture(spec)
     par = run_parallel(verify_conjecture, spec, workers=2)
     assert par.to_json() == direct.to_json()
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_parallel_starts_no_more_workers_than_rows(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    spec = EnumerationSpec(n=3, shard=(1, 100))  # rows 1, 101 and 201
+    par = run_parallel(verify_conjecture, spec, workers=100_000)
+    assert sizes == [3]
+    assert par.to_json() == verify_conjecture(spec).to_json()
+    spec = EnumerationSpec(n=3, shard=(5, 250))  # row 5 only: no pool at all
+    assert run_parallel(verify_conjecture, spec, workers=8).counts["enumerated"] == 1
+    assert sizes == [3]
 
 
 def test_run_parallel_ssw2_and_estimate_f():

@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, exit statuses."""
 
 import json
+import os
 
 import pytest
 
@@ -289,6 +290,21 @@ def test_internal_error_exits_2_not_1(capsys, monkeypatch):
     assert out == ""
     assert "error: internal error: RuntimeError: kernel fell over" in err
     assert "Traceback" in err
+
+
+def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
+    asked = []
+
+    def in_process(campaign, spec, workers=1, **kwargs):
+        asked.append(workers)  # start no process: run the campaign here
+        return campaign(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "run_parallel", in_process)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in ("100000", "0", "1"):
+        status, out, _ = run_cli(capsys, "verify", "--order", "3", "--workers", workers)
+        assert status == 0 and "enumerated=216" in out
+    assert asked == [2, 2, 1]
 
 
 def test_config_from_args_defaults():
