@@ -213,7 +213,18 @@ def colour_profile_partition(
         raise ValueError(f"vertex {x} is incident to all three colours")
     if len(cycle) != t.n or not is_qualifying_cycle(t, cycle.order, rel):
         raise ValueError("cycle is not a qualifying Hamilton cycle")
+    return _pivot_partition(t, x, cycle, rel, present)
 
+
+def _pivot_partition(
+    t: ColouredTournament,
+    x: int,
+    cycle: CycleView,
+    rel: DominationRelation,
+    present: frozenset[Colour],
+) -> ColourProfilePartition:
+    """colour_profile_partition without its checks: `present` is the pivot's
+    colour profile, of at most two colours, and the cycle qualifies."""
     pred = cycle.predecessor(x)
     in_colour = t.arc_colour(pred, x)
     assert in_colour is not None  # cycle arc pred -> x
@@ -591,7 +602,8 @@ def audit(t: ColouredTournament) -> AuditReport:
     report.findings.append(_check_twocedges(t, cycle, rel))
     report.findings.append(_check_alternation(t, cycle))
 
-    pivots = [x for x in range(t.n) if len(vertex_colour_profile(t, x)) <= 2]
+    profiles = {x: vertex_colour_profile(t, x) for x in range(t.n)}
+    pivots = [x for x, present in profiles.items() if len(present) <= 2]
     if not pivots:
         return report
 
@@ -599,7 +611,8 @@ def audit(t: ColouredTournament) -> AuditReport:
 
     m_failures, n_failures, traces = [], [], []
     for x in pivots:
-        part = colour_profile_partition(t, x, cycle, rel)
+        # genhamilton_check has proved the cycle qualifying
+        part = _pivot_partition(t, x, cycle, rel, profiles[x])
         renaming = part.colour_map_chars()
         for name, members in (
             ("blue_out_blue", part.blue_out_blue),

@@ -83,9 +83,20 @@ class ColouredTournament:
     def __init__(self, n: int, matrix: Sequence[Sequence[Colour | None]]):
         if n < 1:
             raise ValueError("vertex count must be >= 1")
+        self._store(n, matrix)
+        self._validate()
+
+    @classmethod
+    def _checked(cls, n: int, matrix: Sequence[Sequence[Colour | None]]) -> "ColouredTournament":
+        """A tournament on a matrix the caller has checked as __init__ would
+        (parse does, with positioned errors)."""
+        t = cls.__new__(cls)
+        t._store(n, matrix)
+        return t
+
+    def _store(self, n: int, matrix: Sequence[Sequence[Colour | None]]) -> None:
         self.n = n
         self._matrix = tuple(tuple(row) for row in matrix)
-        self._validate()
         self._hash = hash((n, self._matrix))
 
     def _validate(self) -> None:
@@ -277,7 +288,7 @@ def parse(text: str) -> ColouredTournament:
                 raise TournamentFormatError(
                     f"pair {{{i}, {j}}} has no arc", line=i + 2, column=j + 1
                 )
-    return ColouredTournament(n, matrix)
+    return ColouredTournament._checked(n, matrix)
 
 
 def serialize(t: ColouredTournament) -> str:

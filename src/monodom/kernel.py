@@ -4,9 +4,11 @@ Campaigns stream instances as uint8 code arrays of shape (batch, pairs),
 stored slot-major, and evaluate whole batches at once.  Exhaustive codes
 split each index once per run of five free slots and gather the run's
 digits from a read-only table; sampled batches slice the Philox blocks
-they touch, and a scan draws each block once.  The T_3 screen is one lookup
-per vertex triple into a 216-entry table indexed by the triple's three slot
-codes.  Each vertex's adjacency is one packed word: colour c occupies bits
+they touch, and a scan draws each block once.  The T_3 screen and the
+vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
+the one-hot byte 1 << x, and the screen tests every triple i < j < k of one
+pair (i, j) with a few byte operations over two contiguous runs of slots.
+Each vertex's adjacency is one packed word: colour c occupies bits
 c*n .. c*n+n-1, bit c*n + j set when the vertex beats j in colour c.  The
 word is uint32 when colours * n <= 32 and uint64 up to WORD_BITS;
 EnumerationSpec refuses larger orders.  Decoding is two table gathers per
@@ -28,7 +30,7 @@ and serves as the cross-check oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -38,6 +40,7 @@ from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_b
 
 
 DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
+ONE_HOT_BYTES = 1 << 20  # the most one-hot slot bytes the T_3 mask holds at once
 
 
 class Workspace:
@@ -52,7 +55,9 @@ class Workspace:
     valid until the next call that writes that buffer: "words" holds the
     packed words decode_rows writes and closure_rows and any_reach close
     and fold in place, and "scratch0".."scratch2" hold temporaries that no
-    result outlives.
+    result outlives.  The T_3 mask writes only its own buffer and the
+    scratch buffers, never "words": a scan may call it between any_reach
+    and the masks that read the reach words.
 
     A sampled scan covering shard positions [0, stop) draws each block it
     touches once, through the last row the whole scan needs from it, and
@@ -294,23 +299,6 @@ def any_reach(
 # -- masks -----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _triangle_table(colours: int, require_cyclic: bool) -> np.ndarray:
-    """Whether the codes (a, b, c) of slots (i, j), (i, k), (j, k) of a
-    triple i < j < k make a rainbow (cyclic, if required) triangle, indexed
-    (a * base + b) * base + c."""
-    base = 2 * colours
-    table = np.zeros(base**3, dtype=bool)
-    for a, b, c in product(range(base), repeat=3):
-        rainbow = len({a % colours, b % colours, c % colours}) == 3
-        if require_cyclic:  # i -> j -> k -> i or its reverse
-            ra, rb, rc = a >= colours, b >= colours, c >= colours
-            rainbow = rainbow and ra == rc and rb != ra
-        table[(a * base + b) * base + c] = rainbow
-    table.flags.writeable = False
-    return table
-
-
 def rainbow_triangle_mask(
     codes: np.ndarray,
     n: int,
@@ -320,30 +308,77 @@ def rainbow_triangle_mask(
 ) -> np.ndarray:
     """Which instances contain a rainbow (default: cyclic rainbow) triangle.
 
-    One table lookup per triple: the three slot codes of the triple form an
-    index below base**3 = 216 into a read-only table of rainbow triangles,
-    so the index arithmetic stays in uint8 on slot-major codes (copied only
-    when the input is not slot-major uint8 already).
+    No gathers: every slot code becomes its one-hot byte F, and R, the byte
+    of the reversed arc, is F with its two 3-bit halves swapped.  A triple
+    i < j < k is a cyclic rainbow triangle iff F[ij] | R[ik] | F[jk] is
+    0b000111 (i -> j -> k -> i) or 0b111000 (its reverse), that is iff
+    R[ik] | F[jk] equals T[ij], the other two bits of F[ij]'s half.  Without
+    the cyclic requirement every byte folds to its colour bit
+    C = (F | F >> 3) & 7, and the test is C[ik] | C[jk] == 7 ^ C[ij].
+
+    For fixed (i, j) the slots (i, k) and (j, k), k > j, are two contiguous
+    runs of pair_slots, so three 2-D operations per pair cover every k: an
+    or, an xor with T[ij] that leaves 0 on a hit, and a running minimum.
+    Rows go through in chunks whose one-hot bytes fill at most
+    ONE_HOT_BYTES, held in "scratch0"; vertex i's runs of R and T go in
+    "scratch1", the or and the minimum in "scratch2".
     """
     ws = ws or Workspace()
     B = codes.shape[0]
     found = ws.buffer("rainbow_triangle_mask", (B,), bool)
-    found.fill(False)
     if n < 3 or colours < 3:
+        found.fill(False)
         return found
-    table = _triangle_table(colours, require_cyclic)
-    base = np.uint8(2 * colours)
-    idx = ws.buffer("scratch0", (B,), np.uint8)
-    hit = ws.buffer("scratch1", (B,), bool)
-    by_slot = np.ascontiguousarray(codes.T, dtype=np.uint8)
-    for i, j, k in combinations(range(n), 3):
-        np.multiply(by_slot[slot_index(n, i, j)], base, out=idx)
-        idx += by_slot[slot_index(n, i, k)]
-        idx *= base
-        idx += by_slot[slot_index(n, j, k)]
-        table.take(idx, out=hit)
-        found |= hit
+    pairs = n * (n - 1) // 2
+    chunks = max(1, -(-pairs * B // ONE_HOT_BYTES))
+    bounds = [B * c // chunks for c in range(chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _rainbow_rows(codes[lo:hi], n, require_cyclic, ws, found[lo:hi])
     return found
+
+
+def _rainbow_rows(
+    codes: np.ndarray, n: int, require_cyclic: bool, ws: Workspace, found: np.ndarray
+) -> None:
+    """rainbow_triangle_mask of three colours and n >= 3, into `found`."""
+    B = codes.shape[0]
+    m = n - 2  # the most vertices k past a pair (i, j)
+    one_hot = ws.buffer("scratch0", codes.T.shape, np.uint8)
+    np.left_shift(1, codes.T.astype(np.uint8, copy=False), out=one_hot)
+    runs = ws.buffer("scratch1", (2, m, B), np.uint8)
+    work = ws.buffer("scratch2", (2, m, B), np.uint8)
+    either, least = work
+    least.fill(0xFF)
+    if not require_cyclic:  # F * 9 is F | F << 3 mod 256, so this is C
+        one_hot *= 9
+        one_hot >>= 3
+        one_hot &= 0b111
+    for i in range(m):
+        first = slot_index(n, i, i + 1)
+        near = one_hot[first : first + m - i]  # slots (i, j), j <= n - 2
+        far = one_hot[first + 1 : first + 1 + m - i]  # slots (i, k), k >= i + 2
+        rev, other = runs[0, : m - i], runs[1, : m - i]
+        if require_cyclic:
+            spare = either[: m - i]
+            np.left_shift(far, 3, out=rev)  # R: the halves of F swapped
+            rev &= 0b111000
+            np.right_shift(far, 3, out=spare)
+            rev |= spare
+            np.greater(near, 0b111, out=spare.view(bool))  # F in the upper half
+            np.multiply(spare, 0b110001, out=other)
+            other += 0b111  # F's half, 7 or 56
+            other ^= near  # T
+        else:
+            rev = far
+            np.bitwise_xor(near, 0b111, out=other)
+        for j in range(i + 1, n - 1):
+            count, r, s = n - 1 - j, j - i - 1, slot_index(n, j, j + 1)
+            run = either[:count]
+            np.bitwise_or(rev[r : r + count], one_hot[s : s + count], out=run)
+            run ^= other[r]
+            np.minimum(least[:count], run, out=least[:count])
+    np.minimum.reduce(least, axis=0, out=either[0])
+    np.equal(either[0], 0, out=found)
 
 
 def _covered(
@@ -442,34 +477,33 @@ def cover_order_tiers(
     return order
 
 
-@lru_cache(maxsize=None)
-def _colour_bits(colours: int) -> np.ndarray:
-    """Bit 1 << colour of each code."""
-    table = np.array([1 << (code % colours) for code in range(2 * colours)], dtype=np.uint8)
-    table.flags.writeable = False
-    return table
-
-
 def two_colour_vertices_mask(
     codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
     """Which instances have every vertex incident to at most two colours.
 
-    Each slot's colour bit is gathered once and or-ed into both endpoints'
-    rows of a vertex-major colour accumulator; a vertex sees all three
-    colours when its row is 0b111.
+    Row i of a vertex-major accumulator is the or of the one-hot bytes of
+    i's slots: for each vertex i, from the last down, one reduction sets it
+    from the run of slots (i, k), k > i, and one 2-D or adds that run to the
+    rows of the vertices k.  Folding the two orientation halves of a row
+    together gives 0b111 when the vertex sees all three colours.
     """
     ws = ws or Workspace()
     B = codes.shape[0]
-    acc = ws.buffer("scratch0", (n, B), np.uint8)
-    acc.fill(0)
-    bit = ws.buffer("scratch1", (B,), np.uint8)
-    table = _colour_bits(colours)
-    for s, (i, j) in enumerate(pair_slots(n)):
-        table.take(codes[:, s], out=bit)
-        acc[i] |= bit
-        acc[j] |= bit
-    flags = ws.buffer("scratch2", (n, B), bool)
+    by_slot = codes.T.astype(np.uint8, copy=False)
+    acc = ws.buffer("scratch1", (n, B), np.uint8)
+    spare = ws.buffer("scratch0", (n, B), np.uint8)
+    acc[n - 1].fill(0)
+    for i in range(n - 2, -1, -1):  # a row's reduction comes before its or-ins
+        first = slot_index(n, i, i + 1)
+        run = spare[: n - 1 - i]
+        np.left_shift(1, by_slot[first : first + n - 1 - i], out=run)
+        np.bitwise_or.reduce(run, axis=0, out=acc[i])
+        acc[i + 1 :] |= run
+    np.right_shift(acc, colours, out=spare)
+    acc |= spare
+    acc &= (1 << colours) - 1
+    flags = spare.view(bool)
     np.equal(acc, 0b111, out=flags)
     out = ws.buffer("two_colour_vertices_mask", (B,), bool)
     np.logical_or.reduce(flags, axis=0, out=out)

@@ -218,6 +218,20 @@ def test_partition_rejects_non_qualifying_cycle():
         colour_profile_partition(t, 0, CycleView((0, 1, 2, 3)))
 
 
+def test_audit_does_not_recheck_the_proved_cycle(monkeypatch):
+    """audit partitions around every pivot on the cycle genhamilton_check
+    proved qualifying, and checks it no further."""
+    import monodom.auditor as auditor_module
+
+    def fail(*args, **kwargs):
+        raise AssertionError("cycle checked again")
+
+    want = audit(T3).to_dict()
+    monkeypatch.setattr(auditor_module, "is_qualifying_cycle", fail)
+    report = audit(T3)
+    assert report.finding("lemma_m") is not None and report.to_dict() == want
+
+
 def test_partition_matches_its_definitions_seeded(monkeypatch):
     """Classes and refinements around every pivot meeting at most two
     colours, on instances of order 4-8 around the pinned Hamilton cycle

@@ -14,6 +14,7 @@ from monodom.campaigns import (
     estimate_f,
     merge_results,
     run_parallel,
+    screen_and_audit,
     search_pattern,
     verify_conjecture,
 )
@@ -392,6 +393,15 @@ GOLDEN_REPORTS = {
     "search rb sampled n=6": (
         lambda: search_pattern(6, RB, mode="sampled", samples=50000, seed=3),
         "aa1d7b27392d2cfa25b0c5be532532b36a980d4f8a6e0359543ae0231de358f3"),
+    # check_failures["t3"] pins the T_3 counts: 99,087 of 100,000 rows at
+    # n=9 and all 40,000 at n=12; the T_3 mask takes a full batch of either
+    # order in more than one chunk of one-hot bytes
+    "screen sampled n=9": (
+        lambda: screen_and_audit(EnumerationSpec(n=9, mode="sampled", samples=100000, seed=11)),
+        "2a8a31d73d19e9ac365d805bcbb5557828ea725ebef34156aec49ce2f69e2fa6"),
+    "screen sampled n=12": (
+        lambda: screen_and_audit(EnumerationSpec(n=12, mode="sampled", samples=40000, seed=12)),
+        "9e564f801c22953eed0e5d557c6799029160936af09cc6c9211534ed728a4c01"),
 }
 
 

@@ -103,6 +103,20 @@ def test_serialize_round_trip_seeded():
         assert parse(serialize(t)) == t
 
 
+def test_parse_checks_each_pair_once(monkeypatch):
+    """parse checks the matrix with positioned errors and builds the
+    tournament without the constructor checking it again; the constructor
+    still checks matrices it is handed directly."""
+    def fail(self):
+        raise AssertionError("matrix checked again")
+
+    matrix = parse(T3_TEXT)._matrix
+    monkeypatch.setattr(ColouredTournament, "_validate", fail)
+    assert parse(T3_TEXT)._matrix == matrix
+    with pytest.raises(AssertionError):
+        ColouredTournament(3, matrix)
+
+
 def test_parse_error_positions():
     with pytest.raises(TournamentFormatError) as e:
         parse("3\n.r.\n..b\nq..\n")

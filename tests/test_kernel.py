@@ -1,12 +1,14 @@
 """Batch kernel vs the one-instance engine: every mask, both colour counts."""
 
 import random
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from monodom import kernel
 from monodom.auditor import genhamilton_check
-from monodom.core import Colour, ColouredTournament, pair_slots, parse
+from monodom.core import Colour, ColouredTournament, pair_slots, parse, slot_index
 from monodom.domination import (
     DominationRelation,
     at_most_two_everywhere,
@@ -298,7 +300,9 @@ def test_qualifying_mask_matches_engine_past_order_12():
 
 
 def test_rainbow_table_exhaustive_n3():
-    """All 216 instances on 3 vertices hit each entry of the T_3 table once."""
+    """All 216 instances on 3 vertices: every code triple (a, b, c) of the
+    slots (0, 1), (0, 2), (1, 2) once, so the one-hot test of the T_3 mask
+    meets every combination of orientations and colours."""
     spec = EnumerationSpec(n=3)
     codes = batch_codes(spec, 0, 216)
     entries = (codes[:, 0].astype(int) * 6 + codes[:, 1]) * 6 + codes[:, 2]
@@ -352,6 +356,52 @@ def test_cover_tiers_match_min_cover():
                 assert int(tiers[r]) == (0 if cover is None else cover.order)
                 seen.add(int(tiers[r]))
         assert seen == set(range(k_max + 1))
+
+
+def planted(n, triple, colours, orient):
+    """Codes of the all-red transitive instance of order n (every arc
+    i -> j with i < j is red) with the slots (a, b), (a, c), (b, c) of the
+    triple a < b < c recoloured colours[0..2]; bit s of orient reverses the
+    arc of the s-th of those slots.  Only that triple can be rainbow: every
+    other triple has at most one recoloured arc."""
+    a, b, c = triple
+    codes = [0] * (n * (n - 1) // 2)
+    for s, (i, j) in enumerate(((a, b), (a, c), (b, c))):
+        codes[slot_index(n, i, j)] = colours[s] + 3 * (orient >> s & 1)
+    return codes
+
+
+# orient 0b010 is a -> b -> c -> a and 0b101 its reverse; the rest are
+# transitive, and the colourings after the permutations repeat a colour
+PLANTS = ([(p, o) for p in permutations(range(3)) for o in (0b010, 0b101)]
+          + [((0, 1, 2), o) for o in (0, 1, 3, 4, 6, 7)]
+          + [((0, 0, 1), 0b010), ((2, 1, 2), 0b101), ((1, 2, 2), 0b011)])
+
+
+@pytest.mark.parametrize("n", range(3, 22))
+def test_rainbow_mask_finds_planted_triangles(n, monkeypatch):
+    """One cyclic rainbow triangle planted in both orientations and every
+    colour permutation, on every triple up to order 9 and on the corner
+    triples and sampled ones past it, plus transitive and repeated-colour
+    plants; the mask matches the engine with whole and with tiny chunks."""
+    triples = list(combinations(range(n), 3))
+    if n > 9:
+        corners = [(0, 1, 2), (0, 1, n - 1), (0, n - 2, n - 1), (n - 3, n - 2, n - 1)]
+        triples = corners + random.Random(n).sample(triples, 2)
+    codes = np.array([planted(n, tri, p, o) for tri in triples for p, o in PLANTS],
+                     dtype=np.uint8)
+    want = {}
+    for cyclic in (True, False):
+        want[cyclic] = [
+            find_rainbow_triangle(ColouredTournament.from_codes(n, list(row)), cyclic)
+            is not None for row in codes]
+    assert sum(want[True]) == 12 * len(triples)
+    assert sum(want[False]) == 18 * len(triples)
+    for budget in (kernel.ONE_HOT_BYTES, 4 * n * n):
+        monkeypatch.setattr(kernel, "ONE_HOT_BYTES", budget)
+        for cyclic in (True, False):
+            got = rainbow_triangle_mask(codes, n, require_cyclic=cyclic)
+            assert got.tolist() == want[cyclic], (budget, cyclic)
 
 
 def test_rainbow_mask_requires_three_colours():
