@@ -12,7 +12,7 @@ evaluator sees a batch are those the vertex filter rejects.  Counts come
 from the masks alone (the pure engine in `domination` is only their
 oracle), with one campaign per claim: `verify_conjecture` takes 2 or 3
 colours.  Batches hold BATCH_ROWS = 2^15 rows, so a batch's codes, index
-arithmetic and reach words stay in a core's L2 cache.  The scan passes one
+arithmetic and reach planes stay in a core's L2 cache.  The scan passes one
 kernel.Workspace to every kernel call: batch-sized arrays allocated afresh
 cost a page fault per page on every batch, while the workspace's buffers
 fault in once, in the first batch, and a sampled scan draws each Philox

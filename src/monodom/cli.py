@@ -267,7 +267,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     """Row 0 of the sampled stream, built without an EnumerationSpec so that
-    orders beyond the campaign kernel's word stay available."""
+    orders beyond the campaigns' colours * order limit stay available."""
     if args.order < 1:
         raise ValueError("order must be >= 1")
     pairs = args.order * (args.order - 1) // 2

@@ -25,7 +25,7 @@ FILTERS = ("none", "two-colour-vertices")
 
 DEFAULT_BUDGET = 10**8
 INDEX_LIMIT = 2**63  # global indices fit one signed 64-bit integer
-WORD_BITS = 64  # the batch kernel packs colours * n bits into one word
+WORD_BITS = 64  # colours * n bits, one word of the batch kernel's reach word view
 
 
 class BudgetExceededError(ValueError):

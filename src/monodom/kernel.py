@@ -8,11 +8,17 @@ they touch, and a scan draws each block once.  The T_3 screen and the
 vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
 the one-hot byte 1 << x, and the screen tests every triple i < j < k of one
 pair (i, j) with a few byte operations over two contiguous runs of slots.
-Each vertex's adjacency is one packed word: colour c occupies bits
-c*n .. c*n+n-1, bit c*n + j set when the vertex beats j in colour c.  The
-word is uint32 when colours * n <= 32 and uint64 up to WORD_BITS;
-EnumerationSpec refuses larger orders.  Decoding is two table gathers per
-pair slot, and one Warshall pass of n steps closes all colour planes at once.
+Reachability is bit-sliced: one bit per instance, 64 instances per uint64
+word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
+[c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
+is one compare and one np.packbits per code value and one gather through a
+(colours, n, n) slot table; Warshall closes every colour in n steps of one
+broadcast and and one or; the masks read the any-colour planes.  Rows go
+through decode and closure in chunks whose temporaries fit REACH_BYTES.
+any_reach returns a Reach, which also shows the relation as the words of
+the pure engine, one per vertex, for oracles and spot checks; the word type
+is that of colours * n bits, uint32 up to 32 and uint64 up to WORD_BITS,
+and the kernel refuses larger orders, as EnumerationSpec does.
 
 Every batch kernel takes an optional Workspace, into which it writes its
 temporaries and its result.  Batch-sized arrays allocated afresh come from
@@ -41,23 +47,28 @@ from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_b
 
 DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
 ONE_HOT_BYTES = 1 << 20  # the most one-hot slot bytes the T_3 mask holds at once
+WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
+REACH_BYTES = 1 << 20  # the most bytes of decode and closure temporaries at once
 
 
 class Workspace:
     """Scratch memory one scan reuses for every batch, and the sample block
     it is in.
 
-    `buffer(name, shape, dtype)` hands out a contiguous view at the start of
-    a grow-only flat byte buffer; the shape's last axis counts rows.  Each
-    buffer holds room for the largest batch batch_codes has produced here,
-    so subsets of a batch (T_3-free rows, filtered rows) never grow it.  A
-    kernel's result lives in the buffer named after the kernel and stays
-    valid until the next call that writes that buffer: "words" holds the
-    packed words decode_rows writes and closure_rows and any_reach close
-    and fold in place, and "scratch0".."scratch2" hold temporaries that no
-    result outlives.  The T_3 mask writes only its own buffer and the
-    scratch buffers, never "words": a scan may call it between any_reach
-    and the masks that read the reach words.
+    `buffer(name, shape, dtype, most)` hands out a contiguous view at the
+    start of a grow-only flat byte buffer; the shape's last axis counts
+    rows, or plane words of WORD_ROWS rows (`planes`).  A buffer that grows
+    makes room for `most` entries of that axis, by default the largest batch
+    batch_codes has produced here, so subsets of a batch (T_3-free rows,
+    filtered rows) never grow it; any_reach's chunk buffers make room for
+    one chunk.  A kernel's result lives in the buffer named after the kernel
+    and stays valid until the next call that writes that buffer: "planes"
+    holds the colour planes decode_rows writes and closure_rows closes in
+    place, "any_reach" the any-colour planes of a Reach, and
+    "scratch0".."scratch2" temporaries that no result outlives.  The T_3
+    mask writes only its own buffer and the scratch buffers, never
+    "any_reach": a scan may call it between any_reach and the masks that
+    read the Reach.
 
     A sampled scan covering shard positions [0, stop) draws each block it
     touches once, through the last row the whole scan needs from it, and
@@ -73,16 +84,24 @@ class Workspace:
         self.digits: np.ndarray | None = None
         self._ramp = np.arange(0, dtype=np.uint64)
 
-    def buffer(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def buffer(
+        self, name: str, shape: tuple[int, ...], dtype, most: int | None = None
+    ) -> np.ndarray:
         dtype = np.dtype(dtype)
         row_bytes = dtype.itemsize * prod(shape[:-1])
         nbytes = row_bytes * shape[-1]
         flat = self.buffers.get(name)
         if flat is None or flat.size < nbytes:
             self.buffers.pop(name, None)  # free the old buffer before the new one
-            flat = np.empty(max(nbytes, row_bytes * self.rows), dtype=np.uint8)
+            most = self.rows if most is None else most
+            flat = np.empty(max(nbytes, row_bytes * most), dtype=np.uint8)
             self.buffers[name] = flat
         return flat[:nbytes].view(dtype).reshape(shape)
+
+    def planes(self, name: str, shape: tuple[int, ...], rows: int | None = None) -> np.ndarray:
+        """A bit-plane buffer: uint64, its last axis counts words of WORD_ROWS
+        rows, with room for the words of `rows` rows (default self.rows)."""
+        return self.buffer(name, shape, np.uint64, _plane_words(self.rows if rows is None else rows))
 
     def ramp(self, size: int) -> np.ndarray:
         """0, 1, ..., size - 1 as uint64 (read-only)."""
@@ -199,7 +218,8 @@ def take_rows(codes: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) 
 
 
 def _word(n: int, colours: int) -> type:
-    """Narrowest unsigned word holding one bit plane of n bits per colour."""
+    """Word type of the reach word view: the narrowest unsigned word that
+    holds one n-bit plane per colour."""
     bits = colours * n
     if bits > WORD_BITS:
         raise ValueError(
@@ -208,16 +228,71 @@ def _word(n: int, colours: int) -> type:
     return np.uint32 if bits <= 32 else np.uint64
 
 
+def _plane_words(rows: int) -> int:
+    """Words of a bit plane holding `rows` rows."""
+    return -(-rows // WORD_ROWS)
+
+
+def _chunk_rows(n: int, colours: int) -> int:
+    """Rows per any_reach chunk: a multiple of WORD_ROWS whose compare bytes,
+    packed code planes, adjacency planes and closure step fit REACH_BYTES."""
+    pairs = n * (n - 1) // 2
+    row_bytes = pairs + (2 * colours * (pairs + n * n) + 1) / 8
+    return max(1, int(REACH_BYTES / row_bytes) // WORD_ROWS) * WORD_ROWS
+
+
+class Reach:
+    """The dominates relation of a batch (reachable in some colour) as bit
+    planes: bit r % 64 of planes[i, j, r // 64] is set when row r has a
+    monochromatic path i => j of length >= 1.  Bits past the last row are 0.
+
+    The masks read the planes.  The word view serves oracles and spot
+    checks: reach[row] is that row's n reach words (bit j of word i set
+    when i => j), reach[row, x] one of them, and np.asarray(reach) all of
+    them, shape (rows, n), in `dtype`.
+    """
+
+    __slots__ = ("planes", "rows", "dtype")
+
+    def __init__(self, planes: np.ndarray, rows: int, dtype):
+        self.planes, self.rows, self.dtype = planes, rows, np.dtype(dtype)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, len(self.planes)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, key):
+        row, *rest = key if isinstance(key, tuple) else (key,)
+        rows = np.arange(self.rows)[row]
+        words = self._words(np.atleast_1d(rows))
+        return (words[0] if np.ndim(rows) == 0 else words)[tuple(rest)]
+
+    def __array__(self, dtype=None, copy=None):
+        words = self._words(np.arange(self.rows))
+        return words if dtype is None else words.astype(dtype)
+
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        word, bit = np.divmod(rows, WORD_ROWS)
+        bits = self.planes[:, :, word] >> bit.astype(np.uint64) & np.uint64(1)
+        bits <<= np.arange(len(self.planes), dtype=np.uint64)[:, None]
+        return np.bitwise_or.reduce(bits, axis=1).T.astype(self.dtype)
+
+
 @lru_cache(maxsize=None)
-def _decode_table(n: int, colours: int) -> np.ndarray:
-    """Word bit each code sets, indexed [slot, end, code]; end 0 is the
-    slot's lower vertex, end 1 the upper."""
+def _slot_table(n: int, colours: int) -> np.ndarray:
+    """Row of the packed code planes that adjacency plane [c, i, j] copies:
+    code c of slot (i, j) when i < j, code colours + c of slot (j, i) when
+    i > j, and on the diagonal the zero row past all of them."""
     slots = pair_slots(n)
-    table = np.zeros((len(slots), 2, 2 * colours), dtype=_word(n, colours))
+    P = len(slots)
+    table = np.full((colours, n, n), 2 * colours * P, dtype=np.intp)
     for s, (i, j) in enumerate(slots):
         for c in range(colours):
-            table[s, 0, c] = 1 << (c * n + j)
-            table[s, 1, colours + c] = 1 << (c * n + i)
+            table[c, i, j] = c * P + s
+            table[c, j, i] = (colours + c) * P + s
     table.flags.writeable = False
     return table
 
@@ -225,75 +300,74 @@ def _decode_table(n: int, colours: int) -> np.ndarray:
 def decode_rows(
     codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Packed adjacency words, shape (batch, n): bit c*n + j of row i is set
-    when i -> j is an arc of colour c.
+    """Adjacency planes, shape (colours, n, n, words): bit r % 64 of
+    [c, i, j, r // 64] is set when row r has the arc i -> j in colour c.
 
-    The result is a transposed view of a vertex-major array, so each vertex's
-    column is contiguous.  Codes must lie below 2 * colours, as every code
-    array batch_codes or ColouredTournament.to_codes makes does: the gathers
-    wrap instead of checking bounds, because a bounds-checked take copies
-    its output array on every call.
+    Each code value takes one compare over the slot-major codes and one
+    np.packbits along the rows, which gives one packed plane per slot; one
+    gather through a cached (colours, n, n) slot table lays them out.
+    Codes must lie below 2 * colours, as every code array batch_codes or
+    ColouredTournament.to_codes makes does: a larger code sets no bit.
     """
     ws = ws or Workspace()
-    table = _decode_table(n, colours)
-    B = codes.shape[0]
-    rows = ws.buffer("words", (n, B), table.dtype)
-    rows.fill(0)  # a reused buffer holds the previous batch
-    bits = ws.buffer("scratch0", (B,), table.dtype)
-    code = ws.buffer("scratch1", (B,), np.intp)
-    for s, (i, j) in enumerate(pair_slots(n)):
-        np.copyto(code, codes[:, s])  # one index conversion for both gathers
-        table[s, 0].take(code, out=bits, mode="wrap")
-        rows[i] |= bits
-        table[s, 1].take(code, out=bits, mode="wrap")
-        rows[j] |= bits
-    return rows.T
+    _word(n, colours)  # the word view's limit
+    table = _slot_table(n, colours)
+    B, P = codes.shape
+    W, room = _plane_words(B), _chunk_rows(n, colours)
+    packed = ws.planes("scratch1", (2 * colours * P + 1, W), room)
+    packed_bytes = packed.view(np.uint8)
+    full = -(-B // 8)  # bytes np.packbits fills per plane
+    packed_bytes[:, full:] = 0  # a reused buffer holds the previous batch
+    packed_bytes[-1] = 0
+    equal = ws.buffer("scratch0", (P, B), bool, room)
+    for code in range(2 * colours):
+        np.equal(codes.T, code, out=equal)
+        packed_bytes[code * P : (code + 1) * P, :full] = np.packbits(equal, axis=1, bitorder="little")
+    planes = ws.planes("planes", table.shape + (W,), room)
+    np.take(packed, table.reshape(-1), axis=0, out=planes.reshape(-1, W), mode="clip")
+    return planes
 
 
 def closure_rows(
     adj: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Reachability words (paths of length >= 1) of packed adjacency words.
+    """Reachability planes (paths of length >= 1) of adjacency planes.
 
-    One Warshall pass closes every colour plane at once: for each k, a row
-    that reaches k in colour c gains row k's plane c.  (row >> k) & lanes
-    puts "reaches k in colour c" at bit c*n, and multiplying by 2**n - 1
-    spreads each such bit over its own plane without carries.  Words that
-    decode_rows wrote into the same workspace are closed in place.
+    Warshall in n steps, each one broadcast and and one or over every
+    colour at once: for each k, [c, i, j] gains [c, i, k] & [c, k, j].
+    Planes that decode_rows wrote into the same workspace are closed in
+    place.
     """
     ws = ws or Workspace()
-    W = adj.dtype.type
-    lanes = W(sum(1 << (c * n) for c in range(colours)))
-    fill = W((1 << n) - 1)
-    reach = ws.buffer("words", adj.T.shape, adj.dtype)  # vertex-major
-    if reach.__array_interface__ != adj.T.__array_interface__:
-        np.copyto(reach, adj.T)
-    step = ws.buffer("scratch0", reach.shape, reach.dtype)
+    room = _chunk_rows(n, colours)
+    reach = ws.planes("planes", adj.shape, room)
+    if reach.__array_interface__ != adj.__array_interface__:
+        np.copyto(reach, adj)
+    step = ws.planes("scratch2", adj.shape, room)
     for k in range(n):
-        np.right_shift(reach, W(k), out=step)
-        step &= lanes
-        step *= fill
-        step &= reach[k]
+        np.bitwise_and(reach[:, :, k, None], reach[:, None, k], out=step)
         reach |= step
-    return reach.T
+    return reach
 
 
 def any_reach(
     codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
-) -> np.ndarray:
-    """Bit-rows of the dominates relation (reachable in some colour), shape
-    (batch, n), in the word type of the packed rows."""
+) -> Reach:
+    """The dominates relation (reachable in some colour) of every row.
+
+    Rows go through decode_rows and closure_rows in chunks of whole plane
+    words whose temporaries fit REACH_BYTES; each chunk's colour planes
+    fold into the result's planes.
+    """
     ws = ws or Workspace()
-    reach = closure_rows(decode_rows(codes, n, colours, ws), n, colours, ws).T
-    W = reach.dtype.type
-    plane = W((1 << n) - 1)
-    step = ws.buffer("scratch0", reach.shape, reach.dtype)
-    for c in range(1, colours):  # planes above c still hold their own bits
-        np.right_shift(reach, W(c * n), out=step)
-        step &= plane
-        reach |= step
-    reach &= plane
-    return reach.T
+    B = codes.shape[0]
+    out = ws.planes("any_reach", (n, n, _plane_words(B)))
+    step = _chunk_rows(n, colours)
+    for lo in range(0, B, step):
+        reach = closure_rows(decode_rows(codes[lo : lo + step], n, colours, ws), n, colours, ws)
+        w = lo // WORD_ROWS
+        np.bitwise_or.reduce(reach, axis=0, out=out[:, :, w : w + reach.shape[-1]])
+    return Reach(out, B, _word(n, colours))
 
 
 # -- masks -----------------------------------------------------------------------
@@ -381,59 +455,81 @@ def _rainbow_rows(
     np.equal(either[0], 0, out=found)
 
 
-def _covered(
-    reach: np.ndarray, n: int, ws: Workspace
-) -> tuple[np.ndarray, np.integer]:
-    """Reach words with each vertex's own bit added, vertex-major (n, batch),
-    and the all-vertices word."""
-    W = reach.dtype.type
-    selfbits = W(1) << np.arange(n, dtype=reach.dtype)
-    covered = ws.buffer("scratch0", reach.T.shape, reach.dtype)
-    np.bitwise_or(reach.T, selfbits[:, None], out=covered)
-    return covered, W((1 << n) - 1)
+ALL_ROWS = ~np.uint64(0)  # a plane word with every row's bit set
 
 
-def dominating_vertex_mask(
-    reach: np.ndarray, n: int, ws: Workspace | None = None
-) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Where i != j, shape (n, n, 1): the planes [i, j] a dominating i needs."""
+    off = ~np.eye(n, dtype=bool)[:, :, None]
+    off.flags.writeable = False
+    return off
+
+
+def _covered(reach: Reach, ws: Workspace) -> np.ndarray:
+    """The reach planes with each vertex covering itself: plane [i, i] all
+    ones, padding bits included."""
+    covered = ws.planes("scratch0", reach.planes.shape)
+    np.copyto(covered, reach.planes)
+    diagonal = np.arange(len(covered))
+    covered[diagonal, diagonal] = ALL_ROWS
+    return covered
+
+
+def _dominating(reach: Reach, ws: Workspace) -> np.ndarray:
+    """The plane of the rows in which some vertex dominates all others."""
+    n, W = reach.planes.shape[1:]
+    every = ws.planes("scratch1", (n + 1, W))
+    np.bitwise_and.reduce(reach.planes, axis=1, out=every[:n], where=_off_diagonal(n),
+                          initial=ALL_ROWS)  # vertex i dominates all others
+    return np.bitwise_or.reduce(every[:n], axis=0, out=every[n])
+
+
+def _unpack(plane: np.ndarray, rows: int, out: np.ndarray) -> np.ndarray:
+    """Bits 0 .. rows-1 of a plane into `out`, one byte per row."""
+    bits = np.unpackbits(plane.view(np.uint8), count=rows, bitorder="little")
+    np.copyto(out.view(np.uint8), bits)
+    return out
+
+
+def dominating_vertex_mask(reach: Reach, n: int, ws: Workspace | None = None) -> np.ndarray:
     """Which instances have a vertex dominating all others."""
     ws = ws or Workspace()
-    covered, full = _covered(reach, n, ws)
-    flags = ws.buffer("scratch1", covered.shape, bool)
-    np.equal(covered, full, out=flags)
-    out = ws.buffer("dominating_vertex_mask", (reach.shape[0],), bool)
-    return np.logical_or.reduce(flags, axis=0, out=out)
+    out = ws.buffer("dominating_vertex_mask", (reach.rows,), bool)
+    return _unpack(_dominating(reach, ws), reach.rows, out)
 
 
-def qualifying_cycle_mask(
-    reach: np.ndarray, n: int, ws: Workspace | None = None
-) -> np.ndarray:
+def qualifying_cycle_mask(reach: Reach, n: int, ws: Workspace | None = None) -> np.ndarray:
     """Which instances carry a Hamilton cycle on which every vertex dominates
     exactly the non-predecessors.
 
     Such a cycle exists iff every vertex fails to dominate exactly one vertex
     and the resulting predecessor map is a single n-cycle; the cycle arcs are
-    then forced (u not dominated by v implies the arc u -> v).
+    then forced (u not dominated by v implies the arc u -> v).  Two plane
+    accumulators settle "misses exactly one" for every row at once, and the
+    predecessor walk runs only on the rows that pass.
     """
     ws = ws or Workspace()
-    ok = ws.buffer("qualifying_cycle_mask", (reach.shape[0],), bool)
+    ok = ws.buffer("qualifying_cycle_mask", (reach.rows,), bool)
     if n < 3:
         ok.fill(False)
         return ok
-    miss, full = _covered(reach, n, ws)
-    np.invert(miss, out=miss)
-    miss &= full  # the vertices each vertex does not dominate
-    below = ws.buffer("scratch1", miss.shape, miss.dtype)
-    np.subtract(miss, 1, out=below)
-    np.bitwise_xor(miss, below, out=miss)
-    single = ws.buffer("scratch2", miss.shape, bool)
-    np.less(below, miss, out=single)  # exactly one bit: m - 1 < m ^ (m - 1)
-    np.logical_and.reduce(single, axis=0, out=ok)
-    cand = np.flatnonzero(ok)  # the walk runs only where the map exists
-    nd = below[:, cand].T + 1  # the one vertex each candidate row misses
-    pred = np.zeros_like(nd, dtype=np.int8)
+    miss = _covered(reach, ws)
+    np.invert(miss, out=miss)  # [i, j]: i does not dominate j
+    accumulators = ws.planes("scratch1", (3,) + miss.shape[1:])
+    once, twice, both = accumulators
+    accumulators[:2].fill(0)
     for j in range(n):
-        pred[nd == (1 << j)] = j
+        np.bitwise_and(once, miss[:, j], out=both)
+        twice |= both
+        once |= miss[:, j]
+    np.invert(twice, out=twice)
+    once &= twice  # vertex i misses exactly one vertex
+    np.bitwise_and.reduce(once, axis=0, out=both[0])
+    cand = np.flatnonzero(_unpack(both[0], reach.rows, ok))
+    word, bit = np.divmod(cand, WORD_ROWS)
+    bits = miss[:, :, word] >> bit.astype(np.uint64) & np.uint64(1)
+    pred = np.argmax(bits, axis=1).T.astype(np.int8)  # the one vertex each misses
     pos = np.zeros(len(cand), dtype=np.int8)
     rows = np.arange(len(cand))
     cycle = np.ones(len(cand), dtype=bool)
@@ -446,34 +542,36 @@ def qualifying_cycle_mask(
 
 
 def cover_order_tiers(
-    reach: np.ndarray, n: int, k_max: int = 3, ws: Workspace | None = None
+    reach: Reach, n: int, k_max: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
     """Smallest covering-set order per instance, exact up to k_max >= 1.
 
     A set covers when the union of its members' dominated sets plus the
     members themselves is everything.  Returns 0 where no set of order
-    <= k_max covers.  Each order tests only the rows no smaller set covers.
+    <= k_max covers.  Each order runs only while some row is uncovered.
     """
     ws = ws or Workspace()
-    covered, full = _covered(reach, n, ws)
-    flags = ws.buffer("scratch1", covered.shape, bool)
-    np.equal(covered, full, out=flags)
-    order = ws.buffer("cover_order_tiers", (reach.shape[0],), np.uint8)
-    np.logical_or.reduce(flags, axis=0, out=order)
+    B = reach.rows
+    hit, one, covers = ws.planes("scratch2", (3, reach.planes.shape[-1]))
+    np.copyto(covers, _dominating(reach, ws))  # rows some smaller set covers
+    order = ws.buffer("cover_order_tiers", (B,), np.uint8)
+    _unpack(covers, B, order)
+    covered = _covered(reach, ws)
+    union = ws.planes("scratch1", covered.shape[1:])
     for size in range(2, min(k_max, n) + 1):
-        pend = np.flatnonzero(order == 0)  # rows no smaller set covers
-        if not len(pend):
+        if order.all():
             break
-        sub = ws.buffer("scratch1", (n, len(pend)), covered.dtype)
-        np.take(covered, pend, axis=1, out=sub)
-        union = ws.buffer("scratch2", (len(pend),), covered.dtype)
-        hit = np.zeros(len(pend), dtype=bool)
+        hit.fill(0)
         for first, *rest in combinations(range(n), size):
-            np.copyto(union, sub[first])
-            for v in rest:
-                union |= sub[v]
-            hit |= union == full
-        order[pend[hit]] = size
+            np.bitwise_or(covered[first], covered[rest[0]], out=union)
+            for v in rest[1:]:
+                union |= covered[v]
+            np.bitwise_and.reduce(union, axis=0, out=one)
+            hit |= one
+        np.invert(covers, out=one)
+        one &= hit  # rows this order covers first
+        covers |= hit
+        order[np.unpackbits(one.view(np.uint8), count=B, bitorder="little").view(bool)] = size
     return order
 
 

@@ -347,9 +347,9 @@ def test_scan_allocates_only_while_batches_grow(monkeypatch, name):
     sizes, allocations = [], []
 
     class CountingWorkspace(kernel.Workspace):
-        def buffer(self, name, shape, dtype):
+        def buffer(self, name, shape, dtype, most=None):
             before = self.buffers.get(name)
-            view = super().buffer(name, shape, dtype)
+            view = super().buffer(name, shape, dtype, most)
             if self.buffers[name] is not before:
                 allocations.append((len(sizes) - 1, name))
             return view

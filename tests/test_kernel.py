@@ -179,30 +179,51 @@ def test_batch_codes_sampled_slices_blocks(n, pattern, shard):
                 assert np.array_equal(batch_codes(spec, p, 1), ref[p : p + 1])
 
 
+def to_planes(bits):
+    """Bit planes of a boolean array whose last axis counts rows: bit r % 64
+    of word r // 64."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = -(-bits.shape[-1] // 64)
+    pad = [(0, 0)] * (bits.ndim - 1) + [(0, 8 * words - packed.shape[-1])]
+    return np.ascontiguousarray(np.pad(packed, pad)).view(np.uint64)
+
+
+def plane_bits(planes, rows):
+    """The first `rows` bits of every plane, as a 0/1 array."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, count=rows, bitorder="little")
+
+
+def reach_of_words(words, n):
+    """A Reach whose word view is `words`, shape (rows, n)."""
+    words = np.asarray(words, dtype=np.uint64)
+    bits = words.T[:, None, :] >> np.arange(n, dtype=np.uint64)[None, :, None] & 1
+    return kernel.Reach(to_planes(bits.astype(bool)), len(words), np.uint32)
+
+
 def test_closure_rows_matches_bfs_oracle():
+    """Random digraphs, not necessarily tournaments, one per colour and row;
+    70 rows put the last six in a second plane word."""
     rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randrange(2, 9)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
         colours = rng.choice((2, 3))
-        # random digraph bit-rows per colour plane, not necessarily tournaments
-        planes = [[rng.randrange(1 << n) & ~(1 << i) for i in range(n)]
-                  for _ in range(colours)]
-        words = [sum(planes[c][x] << (c * n) for c in range(colours)) for x in range(n)]
-        adj = np.array(words, dtype=np.uint32).reshape(1, n)
-        reach = closure_rows(adj, n, colours)[0]
-        for c, plane in enumerate(planes):
-            for src in range(n):
-                seen, frontier = set(), [src]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for y in range(n):
-                            if plane[x] >> y & 1 and y not in seen:
-                                seen.add(y)
-                                nxt.append(y)
-                    frontier = nxt
-                got = int(reach[src]) >> (c * n) & ((1 << n) - 1)
-                assert got == sum(1 << y for y in seen)
+        rows = 70
+        bits = np.array([[[[rng.random() < 0.3 and i != j for _ in range(rows)]
+                           for j in range(n)] for i in range(n)] for _ in range(colours)])
+        reach = plane_bits(closure_rows(to_planes(bits), n, colours), rows)
+        for r in range(rows):
+            for c in range(colours):
+                for src in range(n):
+                    seen, frontier = set(), [src]
+                    while frontier:
+                        nxt = []
+                        for x in frontier:
+                            for y in range(n):
+                                if bits[c, x, y, r] and y not in seen:
+                                    seen.add(y)
+                                    nxt.append(y)
+                        frontier = nxt
+                    assert {y for y in range(n) if reach[c, src, y, r]} == seen
 
 
 def test_any_reach_matches_engine_at_word_edges():
@@ -229,12 +250,13 @@ def test_reach_matches_engine_relation():
     for colours in (2, 3):
         for n in range(2, 9):
             codes = random_codes(rng, 60, n, colours)
-            reach = closure_rows(decode_rows(codes, n, colours), n, colours)
+            reach = plane_bits(closure_rows(decode_rows(codes, n, colours), n, colours), 60)
             for r, row in enumerate(codes):
                 t = ColouredTournament.from_codes(n, list(row), colours)
                 rel = domination_relation(t)
                 for c in range(colours):
-                    got = [int(reach[r, x]) >> (c * n) & ((1 << n) - 1) for x in range(n)]
+                    got = [sum(int(b) << y for y, b in enumerate(reach[c, x, :, r]))
+                           for x in range(n)]
                     assert got == list(rel.rows[c])
 
 
@@ -348,7 +370,7 @@ def test_cover_tiers_match_min_cover():
             reach = np.array(
                 [[rng.getrandbits(n) & rng.getrandbits(n) | r % 2 * rng.getrandbits(n)
                   for _ in range(n)] for r in range(120)], dtype=np.uint32)
-            tiers = cover_order_tiers(reach, n, k_max=k_max)
+            tiers = cover_order_tiers(reach_of_words(reach, n), n, k_max=k_max)
             t = ColouredTournament.from_codes(n, [0] * (n * (n - 1) // 2))
             for r, words in enumerate(reach.tolist()):
                 rel = DominationRelation(n, (tuple(words), (0,) * n, (0,) * n))
@@ -416,9 +438,9 @@ WORD_EDGES = [(3, n) for n in (3, 5, 6, 10, 11, 21)] + [(2, n) for n in (16, 17,
 
 
 def kernel_calls(codes, n, colours, ws=None):
-    """Every batch kernel on one code batch, as name -> result; the reach
-    words each mask reads are copied out, since with a workspace they live
-    in a buffer the next kernel call rewrites."""
+    """Every batch kernel on one code batch, as name -> result; results are
+    copied out, since with a workspace they live in buffers that later
+    kernel calls rewrite."""
     out = {
         "rainbow_triangle_mask": rainbow_triangle_mask(codes, n, colours, True, ws).copy(),
         "rainbow_any": rainbow_triangle_mask(codes, n, colours, False, ws).copy(),
@@ -428,7 +450,8 @@ def kernel_calls(codes, n, colours, ws=None):
     }
     out["closure_of_copy"] = closure_rows(out["decode_rows"], n, colours, ws).copy()
     reach = any_reach(codes, n, colours, ws)
-    out["any_reach"] = reach.copy()
+    out["any_reach"] = reach.planes.copy()
+    out["reach_words"] = np.asarray(reach)
     out["dominating_vertex_mask"] = dominating_vertex_mask(reach, n, ws).copy()
     out["qualifying_cycle_mask"] = qualifying_cycle_mask(reach, n, ws).copy()
     out["cover_order_tiers"] = cover_order_tiers(reach, n, 3, ws).copy()
@@ -472,7 +495,8 @@ def test_kernels_without_workspace_stay_pure():
     for colours, n in ((3, 6), (2, 17)):
         codes = readonly(random_codes(rng, 50, n, colours))
         adj = readonly(decode_rows(codes, n, colours))
-        reach = readonly(any_reach(codes, n, colours))
+        planes = readonly(any_reach(codes, n, colours).planes)
+        reach = kernel.Reach(planes, 50, np.uint64)
         rows = readonly(np.arange(0, 50, 3))
         spec = EnumerationSpec(n=n, colours=colours, mode="sampled", samples=100, seed=3)
         calls = {
@@ -481,18 +505,81 @@ def test_kernels_without_workspace_stay_pure():
             "rainbow_triangle_mask": lambda: rainbow_triangle_mask(codes, n, colours),
             "decode_rows": lambda: decode_rows(codes, n, colours),
             "closure_rows": lambda: closure_rows(adj, n, colours),
-            "any_reach": lambda: any_reach(codes, n, colours),
+            "any_reach": lambda: any_reach(codes, n, colours).planes,
             "dominating_vertex_mask": lambda: dominating_vertex_mask(reach, n),
             "qualifying_cycle_mask": lambda: qualifying_cycle_mask(reach, n),
             "cover_order_tiers": lambda: cover_order_tiers(reach, n),
             "two_colour_vertices_mask": lambda: two_colour_vertices_mask(codes, n, colours),
         }
-        inputs = [a.copy() for a in (codes, adj, reach, rows)]
+        inputs = [a.copy() for a in (codes, adj, planes, rows)]
         for name, call in calls.items():
             first, second = call(), call()
             assert np.array_equal(first, second), name
             assert not np.shares_memory(first, second), name
-            for array in (codes, adj, reach, rows):
+            for array in (codes, adj, planes, rows):
                 assert not np.shares_memory(first, array), name
-        for before, after in zip(inputs, (codes, adj, reach, rows)):
+        for before, after in zip(inputs, (codes, adj, planes, rows)):
             assert np.array_equal(before, after)
+
+
+# orders n = 1, 2, 3 and 5 at both colour counts, and every word edge
+PARTIAL_ORDERS = sorted({(c, n) for c in (2, 3) for n in (1, 2, 3, 5)} | set(WORD_EDGES))
+
+
+@pytest.mark.parametrize("colours,n", PARTIAL_ORDERS)
+def test_masks_on_batches_of_partial_words(colours, n):
+    """Batches of 1 to 5000 rows, most of them not whole 64-row plane words:
+    every mask has exactly one entry per row, matches the engine, and the
+    plane bits past the last row stay 0, also in a workspace that held a
+    larger batch.  At n = 1 every row is dominating.  The engine checks
+    the first 127 rows of every batch and the last 65 of the largest."""
+    rng = random.Random(n * 10 + colours)
+    codes = random_codes(rng, 5000, n, colours)
+    checked = list(range(127)) + list(range(5000 - 65, 5000))
+    engine = {}
+    for r in checked:
+        t = ColouredTournament.from_codes(n, list(codes[r]), colours)
+        rel = domination_relation(t)
+        engine[r] = (list(rel.any_rows), bool(dominating_vertices(t, rel)),
+                     genhamilton_check(t).holds)
+    ws = Workspace()
+    for B in (5000, 1, 63, 64, 65, 127):
+        for space in (ws, None):
+            reach = any_reach(codes[:B], n, colours, space)
+            masks = [dominating_vertex_mask(reach, n, space).copy(),
+                     qualifying_cycle_mask(reach, n, space).copy()]
+            assert len(reach) == B and reach.shape == (B, n)
+            assert all(mask.shape == (B,) and mask.dtype == bool for mask in masks)
+            assert not plane_bits(reach.planes, 64 * reach.planes.shape[-1])[..., B:].any()
+            for r in (r for r in checked if r < B):
+                got = ([int(x) for x in reach[r]], bool(masks[0][r]), bool(masks[1][r]))
+                assert got == engine[r], (B, r)
+            if n == 1:
+                assert masks[0].all()
+
+
+@pytest.mark.parametrize("colours,n", [(3, 21), (2, 32)])
+def test_any_reach_in_chunks_under_a_tiny_budget(colours, n, monkeypatch):
+    """A budget below one plane word's temporaries makes every chunk 64 rows:
+    200 rows go through in four chunks, the last one partial, and the
+    decode and closure buffers hold one chunk, not the batch."""
+    rng = random.Random(n)
+    codes = random_codes(rng, 200, n, colours)
+    want = any_reach(codes, n, colours)
+    monkeypatch.setattr(kernel, "REACH_BYTES", 1)
+    ws = Workspace()
+    reach = any_reach(codes, n, colours, ws)
+    assert np.array_equal(reach.planes, want.planes)
+    pairs = n * (n - 1) // 2
+    most = {"scratch0": pairs * 64, "scratch1": (2 * colours * pairs + 1) * 8,
+            "planes": colours * n * n * 8, "scratch2": colours * n * n * 8}
+    for name, nbytes in most.items():
+        assert ws.buffers[name].nbytes == nbytes, name
+    dom = dominating_vertex_mask(reach, n, ws)
+    qual = qualifying_cycle_mask(reach, n, ws)
+    for r, row in enumerate(codes):
+        t = ColouredTournament.from_codes(n, list(row), colours)
+        rel = domination_relation(t)
+        assert [int(x) for x in reach[r]] == list(rel.any_rows)
+        assert bool(dom[r]) == bool(dominating_vertices(t, rel))
+        assert bool(qual[r]) == genhamilton_check(t).holds
