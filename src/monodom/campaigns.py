@@ -49,7 +49,9 @@ class CampaignResult:
     violators: list[dict] = field(default_factory=list)
     extremal: dict = field(default_factory=dict)
     check_failures: dict[str, int] = field(default_factory=dict)
-    elapsed: float = 0.0  # telemetry; excluded from serialized form
+    # telemetry, excluded from serialized form: a scan's run time in seconds;
+    # merge_results sums its parts' times, run_parallel sets its wall time
+    elapsed: float = 0.0
 
     @property
     def violations(self) -> int:
@@ -218,16 +220,15 @@ class _Scan:
 # -- campaigns ---------------------------------------------------------------------
 
 
-def verify_conjecture(
-    spec: EnumerationSpec, require_cyclic: bool = True, progress: int = 0
-) -> CampaignResult:
-    """Check every instance for a cyclic rainbow triangle or a dominating
-    vertex; instances with neither are collected as violators.  With two
-    colours no triangle is rainbow: this is the Sands-Sauer-Woodrow claim."""
+def verify_conjecture(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
+    """Check every instance for a T_3 (a cyclic rainbow triangle) or a
+    dominating vertex; instances with neither are collected as violators.
+    With two colours no triangle is rainbow: this is the Sands-Sauer-Woodrow
+    claim."""
 
     def evaluate(scan: _Scan, codes: np.ndarray) -> None:
         ws = scan.ws
-        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours, require_cyclic, ws)
+        t3 = kernel.rainbow_triangle_mask(codes, spec.n, spec.colours, ws)
         bad = None  # the T_3-free rows, None for all (every batch at two colours)
         if t3.any():
             bad = np.flatnonzero(~t3)
@@ -345,12 +346,14 @@ def run_parallel(
     Sub-shard j of the spec's shard (k, m) is (k + j*m, m*workers); their
     union is exactly the original shard, so the merged result equals the
     single-process run.  No more workers start than the shard has rows.
+    The merged result's elapsed is the wall time of the pool run.
     """
     workers = min(workers, spec.shard_size())
     if workers <= 1:
         return campaign(spec, **kwargs)
     k, m = spec.shard
     subs = [replace(spec, shard=(k + j * m, m * workers)) for j in range(workers)]
+    t0 = time.time()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(partial(campaign, **kwargs), subs))
-    return merge_results(parts, spec=spec)
+    return replace(merge_results(parts, spec=spec), elapsed=time.time() - t0)

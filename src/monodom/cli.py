@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from .auditor import audit
-from .campaigns import run_parallel, search_pattern, verify_conjecture
+from .campaigns import run_parallel, screen_and_audit, verify_conjecture
 from .core import (
     Colour,
     ColouredTournament,
@@ -76,6 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="instance file, '-' for standard input, or the "
                         "instance text itself")
 
+    def add_space(sp):
+        sp.add_argument("--order", type=int, required=True)
+        sp.add_argument("--mode", choices=MODES, default="exhaustive")
+        sp.add_argument("--samples", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
     sp = sub.add_parser("check", help="report domination facts for one instance")
     add_input(sp)
     sp.add_argument("--cyclic", choices=("on", "off"), default="on",
@@ -92,28 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(sp)
 
     sp = sub.add_parser("verify", help="run a verification campaign")
-    sp.add_argument("--order", type=int, required=True)
+    add_space(sp)
     sp.add_argument("--colours", type=int, choices=(2, 3), default=3)
-    sp.add_argument("--mode", choices=MODES, default="exhaustive")
-    sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--filter", choices=FILTERS, default="none")
-    sp.add_argument("--cyclic", choices=("on", "off"), default="on")
     sp.add_argument("--workers", type=_parse_workers, default=0,
                     help="0 (or more than the machine's CPU count) picks the CPU count")
     add_format(sp)
 
     sp = sub.add_parser("search", help="scan completions of a patterned cycle")
-    sp.add_argument("--order", type=int, required=True)
+    add_space(sp)
     sp.add_argument("--pattern", type=_parse_pattern, required=True,
                     help="cycle colour pattern, e.g. rb or rgb")
-    sp.add_argument("--mode", choices=MODES, default="exhaustive")
-    sp.add_argument("--samples", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_format(sp)
 
     sp = sub.add_parser("gen", help="emit one seeded random instance")
@@ -228,22 +225,25 @@ def _campaign_text(result, label: str) -> None:
         print(v["instance"], end="")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    spec = EnumerationSpec(
-        n=args.order, colours=args.colours, mode=args.mode, filter=args.filter,
-        shard=args.shard, samples=args.samples, seed=args.seed, budget=args.budget,
+def _space(args: argparse.Namespace, **fields) -> EnumerationSpec:
+    """The spec of add_space's options, plus the subcommand's own fields."""
+    return EnumerationSpec(
+        n=args.order, mode=args.mode, shard=args.shard, samples=args.samples,
+        seed=args.seed, budget=args.budget, **fields,
     )
+
+
+def _progress(spec: EnumerationSpec) -> int:
+    return PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = _space(args, colours=args.colours, filter=args.filter)
     cpus = os.cpu_count() or 1
     workers = min(args.workers or cpus, cpus)
-    progress = PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
-    cyclic = args.cyclic == "on"
-    result = run_parallel(
-        verify_conjecture, spec, workers=workers,
-        require_cyclic=cyclic, progress=progress,
-    )
+    result = run_parallel(verify_conjecture, spec, workers=workers, progress=_progress(spec))
     label = ("2-coloured dominating vertex" if args.colours == 2
-             else "cyclic T_3 or dominating vertex" if cyclic
-             else "rainbow triangle or dominating vertex")
+             else "cyclic T_3 or dominating vertex")
     if args.format == "json":
         print(result.to_json())
     else:
@@ -252,11 +252,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    result = search_pattern(
-        args.order, args.pattern, mode=args.mode, samples=args.samples,
-        seed=args.seed, shard=args.shard, budget=args.budget,
-        progress=PROGRESS_EVERY,
-    )
+    spec = _space(args, pattern=args.pattern)
+    result = screen_and_audit(spec, _progress(spec))
     if args.format == "json":
         print(result.to_json())
     else:

@@ -6,8 +6,9 @@ split each index once per run of five free slots and gather the run's
 digits from a read-only table; sampled batches slice the Philox blocks
 they touch, and a scan draws each block once.  The T_3 screen and the
 vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
-the one-hot byte 1 << x, and the screen tests every triple i < j < k of one
-pair (i, j) with a few byte operations over two contiguous runs of slots.
+the one-hot byte 1 << x, and the T_3 screen tests every triple i < j < k of
+one pair (i, j) for a cyclic rainbow triangle with a few byte operations
+over two contiguous runs of slots.
 Reachability is bit-sliced: one bit per instance, 64 instances per uint64
 word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
 [c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
@@ -15,10 +16,10 @@ is one compare and one np.packbits per code value and one gather through a
 (colours, n, n) slot table; Warshall closes every colour in n steps of one
 broadcast and and one or; the masks read the any-colour planes.  Rows go
 through decode and closure in chunks whose temporaries fit REACH_BYTES.
-any_reach returns a Reach, which also shows the relation as the words of
-the pure engine, one per vertex, for oracles and spot checks; the word type
-is that of colours * n bits, uint32 up to 32 and uint64 up to WORD_BITS,
-and the kernel refuses larger orders, as EnumerationSpec does.
+any_reach returns a Reach, which also shows the relation as the uint64
+words of the pure engine, one per vertex, for oracles and spot checks; the
+kernel refuses orders whose colours * n bits pass WORD_BITS, as
+EnumerationSpec does.
 
 Every batch kernel takes an optional Workspace, into which it writes its
 temporaries and its result.  Batch-sized arrays allocated afresh come from
@@ -217,15 +218,13 @@ def take_rows(codes: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) 
     return out.T
 
 
-def _word(n: int, colours: int) -> type:
-    """Word type of the reach word view: the narrowest unsigned word that
-    holds one n-bit plane per colour."""
+def _check_word(n: int, colours: int) -> None:
+    """Refuse orders whose n-bit plane per colour overflows the reach word."""
     bits = colours * n
     if bits > WORD_BITS:
         raise ValueError(
             f"colours * order = {bits} exceeds the kernel's {WORD_BITS}-bit word"
         )
-    return np.uint32 if bits <= 32 else np.uint64
 
 
 def _plane_words(rows: int) -> int:
@@ -249,13 +248,13 @@ class Reach:
     The masks read the planes.  The word view serves oracles and spot
     checks: reach[row] is that row's n reach words (bit j of word i set
     when i => j), reach[row, x] one of them, and np.asarray(reach) all of
-    them, shape (rows, n), in `dtype`.
+    them, shape (rows, n), as uint64.
     """
 
-    __slots__ = ("planes", "rows", "dtype")
+    __slots__ = ("planes", "rows")
 
-    def __init__(self, planes: np.ndarray, rows: int, dtype):
-        self.planes, self.rows, self.dtype = planes, rows, np.dtype(dtype)
+    def __init__(self, planes: np.ndarray, rows: int):
+        self.planes, self.rows = planes, rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -278,7 +277,7 @@ class Reach:
         word, bit = np.divmod(rows, WORD_ROWS)
         bits = self.planes[:, :, word] >> bit.astype(np.uint64) & np.uint64(1)
         bits <<= np.arange(len(self.planes), dtype=np.uint64)[:, None]
-        return np.bitwise_or.reduce(bits, axis=1).T.astype(self.dtype)
+        return np.bitwise_or.reduce(bits, axis=1).T
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +309,7 @@ def decode_rows(
     ColouredTournament.to_codes makes does: a larger code sets no bit.
     """
     ws = ws or Workspace()
-    _word(n, colours)  # the word view's limit
+    _check_word(n, colours)
     table = _slot_table(n, colours)
     B, P = codes.shape
     W, room = _plane_words(B), _chunk_rows(n, colours)
@@ -360,6 +359,7 @@ def any_reach(
     fold into the result's planes.
     """
     ws = ws or Workspace()
+    _check_word(n, colours)
     B = codes.shape[0]
     out = ws.planes("any_reach", (n, n, _plane_words(B)))
     step = _chunk_rows(n, colours)
@@ -367,28 +367,23 @@ def any_reach(
         reach = closure_rows(decode_rows(codes[lo : lo + step], n, colours, ws), n, colours, ws)
         w = lo // WORD_ROWS
         np.bitwise_or.reduce(reach, axis=0, out=out[:, :, w : w + reach.shape[-1]])
-    return Reach(out, B, _word(n, colours))
+    return Reach(out, B)
 
 
 # -- masks -----------------------------------------------------------------------
 
 
 def rainbow_triangle_mask(
-    codes: np.ndarray,
-    n: int,
-    colours: int = 3,
-    require_cyclic: bool = True,
-    ws: Workspace | None = None,
+    codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Which instances contain a rainbow (default: cyclic rainbow) triangle.
+    """Which instances contain a T_3, a cyclic rainbow triangle.  With fewer
+    than three colours no triangle is rainbow.
 
     No gathers: every slot code becomes its one-hot byte F, and R, the byte
     of the reversed arc, is F with its two 3-bit halves swapped.  A triple
     i < j < k is a cyclic rainbow triangle iff F[ij] | R[ik] | F[jk] is
     0b000111 (i -> j -> k -> i) or 0b111000 (its reverse), that is iff
-    R[ik] | F[jk] equals T[ij], the other two bits of F[ij]'s half.  Without
-    the cyclic requirement every byte folds to its colour bit
-    C = (F | F >> 3) & 7, and the test is C[ik] | C[jk] == 7 ^ C[ij].
+    R[ik] | F[jk] equals T[ij], the other two bits of F[ij]'s half.
 
     For fixed (i, j) the slots (i, k) and (j, k), k > j, are two contiguous
     runs of pair_slots, so three 2-D operations per pair cover every k: an
@@ -407,13 +402,11 @@ def rainbow_triangle_mask(
     chunks = max(1, -(-pairs * B // ONE_HOT_BYTES))
     bounds = [B * c // chunks for c in range(chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        _rainbow_rows(codes[lo:hi], n, require_cyclic, ws, found[lo:hi])
+        _rainbow_rows(codes[lo:hi], n, ws, found[lo:hi])
     return found
 
 
-def _rainbow_rows(
-    codes: np.ndarray, n: int, require_cyclic: bool, ws: Workspace, found: np.ndarray
-) -> None:
+def _rainbow_rows(codes: np.ndarray, n: int, ws: Workspace, found: np.ndarray) -> None:
     """rainbow_triangle_mask of three colours and n >= 3, into `found`."""
     B = codes.shape[0]
     m = n - 2  # the most vertices k past a pair (i, j)
@@ -423,28 +416,19 @@ def _rainbow_rows(
     work = ws.buffer("scratch2", (2, m, B), np.uint8)
     either, least = work
     least.fill(0xFF)
-    if not require_cyclic:  # F * 9 is F | F << 3 mod 256, so this is C
-        one_hot *= 9
-        one_hot >>= 3
-        one_hot &= 0b111
     for i in range(m):
         first = slot_index(n, i, i + 1)
         near = one_hot[first : first + m - i]  # slots (i, j), j <= n - 2
         far = one_hot[first + 1 : first + 1 + m - i]  # slots (i, k), k >= i + 2
-        rev, other = runs[0, : m - i], runs[1, : m - i]
-        if require_cyclic:
-            spare = either[: m - i]
-            np.left_shift(far, 3, out=rev)  # R: the halves of F swapped
-            rev &= 0b111000
-            np.right_shift(far, 3, out=spare)
-            rev |= spare
-            np.greater(near, 0b111, out=spare.view(bool))  # F in the upper half
-            np.multiply(spare, 0b110001, out=other)
-            other += 0b111  # F's half, 7 or 56
-            other ^= near  # T
-        else:
-            rev = far
-            np.bitwise_xor(near, 0b111, out=other)
+        rev, other, spare = runs[0, : m - i], runs[1, : m - i], either[: m - i]
+        np.left_shift(far, 3, out=rev)  # R: the halves of F swapped
+        rev &= 0b111000
+        np.right_shift(far, 3, out=spare)
+        rev |= spare
+        np.greater(near, 0b111, out=spare.view(bool))  # F in the upper half
+        np.multiply(spare, 0b110001, out=other)
+        other += 0b111  # F's half, 7 or 56
+        other ^= near  # T
         for j in range(i + 1, n - 1):
             count, r, s = n - 1 - j, j - i - 1, slot_index(n, j, j + 1)
             run = either[:count]
@@ -458,14 +442,6 @@ def _rainbow_rows(
 ALL_ROWS = ~np.uint64(0)  # a plane word with every row's bit set
 
 
-@lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Where i != j, shape (n, n, 1): the planes [i, j] a dominating i needs."""
-    off = ~np.eye(n, dtype=bool)[:, :, None]
-    off.flags.writeable = False
-    return off
-
-
 def _covered(reach: Reach, ws: Workspace) -> np.ndarray:
     """The reach planes with each vertex covering itself: plane [i, i] all
     ones, padding bits included."""
@@ -476,12 +452,12 @@ def _covered(reach: Reach, ws: Workspace) -> np.ndarray:
     return covered
 
 
-def _dominating(reach: Reach, ws: Workspace) -> np.ndarray:
-    """The plane of the rows in which some vertex dominates all others."""
-    n, W = reach.planes.shape[1:]
+def _dominating(covered: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The plane of the rows in which some vertex dominates all others,
+    from the _covered planes."""
+    n, W = covered.shape[1:]
     every = ws.planes("scratch1", (n + 1, W))
-    np.bitwise_and.reduce(reach.planes, axis=1, out=every[:n], where=_off_diagonal(n),
-                          initial=ALL_ROWS)  # vertex i dominates all others
+    np.bitwise_and.reduce(covered, axis=1, out=every[:n])  # vertex i covers all
     return np.bitwise_or.reduce(every[:n], axis=0, out=every[n])
 
 
@@ -496,7 +472,7 @@ def dominating_vertex_mask(reach: Reach, n: int, ws: Workspace | None = None) ->
     """Which instances have a vertex dominating all others."""
     ws = ws or Workspace()
     out = ws.buffer("dominating_vertex_mask", (reach.rows,), bool)
-    return _unpack(_dominating(reach, ws), reach.rows, out)
+    return _unpack(_dominating(_covered(reach, ws), ws), reach.rows, out)
 
 
 def qualifying_cycle_mask(reach: Reach, n: int, ws: Workspace | None = None) -> np.ndarray:
@@ -553,10 +529,10 @@ def cover_order_tiers(
     ws = ws or Workspace()
     B = reach.rows
     hit, one, covers = ws.planes("scratch2", (3, reach.planes.shape[-1]))
-    np.copyto(covers, _dominating(reach, ws))  # rows some smaller set covers
+    covered = _covered(reach, ws)
+    np.copyto(covers, _dominating(covered, ws))  # rows some smaller set covers
     order = ws.buffer("cover_order_tiers", (B,), np.uint8)
     _unpack(covers, B, order)
-    covered = _covered(reach, ws)
     union = ws.planes("scratch1", covered.shape[1:])
     for size in range(2, min(k_max, n) + 1):
         if order.all():

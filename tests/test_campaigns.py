@@ -38,11 +38,6 @@ def test_conjecture_exhaustive_n4():
     assert r.counts == {"enumerated": 46656, "examined": 46656, "violations": 0}
 
 
-def test_conjecture_non_cyclic_variant():
-    r = verify_conjecture(EnumerationSpec(n=3), require_cyclic=False)
-    assert r.counts["violations"] == 0
-
-
 def test_ssw2_exhaustive_small():
     for n in (1, 2, 3, 4):
         r = verify_conjecture(EnumerationSpec(n=n, colours=2))
@@ -246,6 +241,23 @@ def test_run_parallel_starts_no_more_workers_than_rows(monkeypatch):
     spec = EnumerationSpec(n=3, shard=(5, 250))  # row 5 only: no pool at all
     assert run_parallel(verify_conjecture, spec, workers=8).counts["enumerated"] == 1
     assert sizes == [3]
+
+
+def _hundred_seconds(spec):
+    return replace(verify_conjecture(spec), elapsed=100.0)
+
+
+def test_run_parallel_reports_wall_time(monkeypatch):
+    """Workers run side by side, so the merged elapsed is the pool's wall
+    time, not the sum of the parts' times that merge_results keeps."""
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool([], max_workers))
+    spec = EnumerationSpec(n=3)
+    par = run_parallel(_hundred_seconds, spec, workers=2)
+    assert 0 < par.elapsed < 100
+    assert par.to_json() == verify_conjecture(spec).to_json()
+    parts = [_hundred_seconds(replace(spec, shard=(k, 2))) for k in range(2)]
+    assert merge_results(parts).elapsed == 200
 
 
 def test_run_parallel_ssw2_and_estimate_f():

@@ -62,6 +62,44 @@ def test_check_cyclic_off(capsys):
     assert "rainbow triangle at" in out
 
 
+# check --cyclic off on a transitive rainbow triangle, byte for byte
+RAINBOW_TEXT = "3\n.rg\n..b\n...\n"
+RAINBOW_CHECK = {
+    "text": "n=3\ndominating vertices: 0\ndominated by all: 2\n"
+            "rainbow triangle at (0, 1, 2): 0->1 r, 0->2 g, 1->2 b\n",
+    "json": '{"findings":[{"check":"dominating_vertices","vertices":[0]},'
+            '{"check":"dominated_by_all","vertices":[2]},'
+            '{"check":"rainbow_triangle","found":true,"witness":'
+            '{"arcs":[[0,1,"r"],[0,2,"g"],[1,2,"b"]],"triangle":[0,1,2]}}],'
+            '"instance":"3\\n.rg\\n..b\\n...\\n","n":3}\n',
+}
+
+
+def test_check_cyclic_off_output_is_pinned(capsys):
+    for fmt, want in RAINBOW_CHECK.items():
+        status, out, _ = run_cli(capsys, "check", "--input", RAINBOW_TEXT,
+                                 "--cyclic", "off", "--format", fmt)
+        assert status == 0 and out == want, fmt
+
+
+def test_verify_has_no_cyclic_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify", "--order", "3", "--cyclic", "off"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monodom") and "unrecognized arguments: --cyclic off" in err
+
+
+def test_search_picks_progress_as_verify_does(capsys, monkeypatch):
+    """Progress goes to stderr only for shards of PROGRESS_THRESHOLD rows
+    or more; search --order 4 --pattern rb has 36."""
+    monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
+    for threshold, lines in ((37, 0), (36, 1)):
+        monkeypatch.setattr(cli, "PROGRESS_THRESHOLD", threshold)
+        status, _, err = run_cli(capsys, "search", "--order", "4", "--pattern", "rb")
+        assert status == 0 and err.count("shard 0/1: 36 of 36") == lines, threshold
+
+
 def test_audit_text_and_json(capsys, t3_file):
     status, out, _ = run_cli(capsys, "audit", "--input", t3_file)
     assert status == 0
@@ -275,7 +313,7 @@ def test_exit_1_on_alarm(capsys, monkeypatch):
     doctored = CampaignResult(
         spec, {"enumerated": 1, "examined": 1, "violations": 0, "alarms": 1}
     )
-    monkeypatch.setattr(cli, "search_pattern", lambda *a, **k: doctored)
+    monkeypatch.setattr(cli, "screen_and_audit", lambda *a, **k: doctored)
     status, _, _ = run_cli(capsys, "search", "--order", "3", "--pattern", "rgb")
     assert status == 1
 
@@ -315,4 +353,4 @@ def test_config_from_args_defaults():
     assert args.mode == "exhaustive"
     assert args.shard == (0, 1)
     assert args.budget == DEFAULT_BUDGET
-    assert args.cyclic == "on"
+    assert not hasattr(args, "cyclic")

@@ -197,7 +197,7 @@ def reach_of_words(words, n):
     """A Reach whose word view is `words`, shape (rows, n)."""
     words = np.asarray(words, dtype=np.uint64)
     bits = words.T[:, None, :] >> np.arange(n, dtype=np.uint64)[None, :, None] & 1
-    return kernel.Reach(to_planes(bits.astype(bool)), len(words), np.uint32)
+    return kernel.Reach(to_planes(bits.astype(bool)), len(words))
 
 
 def test_closure_rows_matches_bfs_oracle():
@@ -227,14 +227,14 @@ def test_closure_rows_matches_bfs_oracle():
 
 
 def test_any_reach_matches_engine_at_word_edges():
-    # orders on both sides of the uint32/uint64 switch and at the word limit
+    # orders on both sides of 32 colour bits and at the word limit
     rng = random.Random(55)
     edges = [(3, n) for n in (1, 2, 3, 5, 6, 10, 11, 21)]
     edges += [(2, n) for n in (16, 17, 32)]
     for colours, n in edges:
         codes = random_codes(rng, 12, n, colours)
         reach = any_reach(codes, n, colours)
-        assert reach.dtype == (np.uint32 if colours * n <= 32 else np.uint64)
+        assert np.asarray(reach).dtype == np.uint64
         for r, row in enumerate(codes):
             rel = domination_relation(ColouredTournament.from_codes(n, list(row), colours))
             assert [int(x) for x in reach[r]] == list(rel.any_rows)
@@ -268,17 +268,13 @@ def test_masks_match_engine_seeded():
             reach = any_reach(codes, n, colours)
             dom = dominating_vertex_mask(reach, n)
             qual = qualifying_cycle_mask(reach, n)
-            tri_cyc = rainbow_triangle_mask(codes, n, colours)
-            tri_any = rainbow_triangle_mask(codes, n, colours, require_cyclic=False)
+            tri = rainbow_triangle_mask(codes, n, colours)
             two = two_colour_vertices_mask(codes, n, colours)
             for r, row in enumerate(codes):
                 t = ColouredTournament.from_codes(n, list(row), colours)
                 assert bool(dom[r]) == bool(dominating_vertices(t))
                 assert bool(qual[r]) == genhamilton_check(t).holds
-                assert bool(tri_cyc[r]) == (find_rainbow_triangle(t) is not None)
-                assert bool(tri_any[r]) == (
-                    find_rainbow_triangle(t, require_cyclic=False) is not None
-                )
+                assert bool(tri[r]) == (find_rainbow_triangle(t) is not None)
                 assert bool(two[r]) == at_most_two_everywhere(t)
 
 
@@ -329,14 +325,12 @@ def test_rainbow_table_exhaustive_n3():
     codes = batch_codes(spec, 0, 216)
     entries = (codes[:, 0].astype(int) * 6 + codes[:, 1]) * 6 + codes[:, 2]
     assert sorted(entries) == list(range(216))
-    masks = {cyclic: rainbow_triangle_mask(codes, 3, require_cyclic=cyclic)
-             for cyclic in (True, False)}
-    assert int(masks[True].sum()) == 12 and int(masks[False].sum()) == 48
+    mask = rainbow_triangle_mask(codes, 3)
+    assert int(mask.sum()) == 12
     qual = qualifying_cycle_mask(any_reach(codes, 3), 3)
     for r, row in enumerate(codes):
         t = ColouredTournament.from_codes(3, list(row))
-        for cyclic, mask in masks.items():
-            assert bool(mask[r]) == (find_rainbow_triangle(t, require_cyclic=cyclic) is not None)
+        assert bool(mask[r]) == (find_rainbow_triangle(t) is not None)
         assert bool(qual[r]) == genhamilton_check(t).holds
 
 
@@ -405,35 +399,32 @@ def test_rainbow_mask_finds_planted_triangles(n, monkeypatch):
     """One cyclic rainbow triangle planted in both orientations and every
     colour permutation, on every triple up to order 9 and on the corner
     triples and sampled ones past it, plus transitive and repeated-colour
-    plants; the mask matches the engine with whole and with tiny chunks."""
+    plants; the mask matches the engine with whole and with tiny chunks,
+    and finds no T_3 in the six transitive rainbow plants of each triple."""
     triples = list(combinations(range(n), 3))
     if n > 9:
         corners = [(0, 1, 2), (0, 1, n - 1), (0, n - 2, n - 1), (n - 3, n - 2, n - 1)]
         triples = corners + random.Random(n).sample(triples, 2)
     codes = np.array([planted(n, tri, p, o) for tri in triples for p, o in PLANTS],
                      dtype=np.uint8)
-    want = {}
-    for cyclic in (True, False):
-        want[cyclic] = [
-            find_rainbow_triangle(ColouredTournament.from_codes(n, list(row)), cyclic)
-            is not None for row in codes]
-    assert sum(want[True]) == 12 * len(triples)
-    assert sum(want[False]) == 18 * len(triples)
+    instances = [ColouredTournament.from_codes(n, list(row)) for row in codes]
+    want = [find_rainbow_triangle(t) is not None for t in instances]
+    rainbow = [find_rainbow_triangle(t, require_cyclic=False) is not None for t in instances]
+    assert sum(want) == 12 * len(triples)
+    assert sum(rainbow) == 18 * len(triples)
     for budget in (kernel.ONE_HOT_BYTES, 4 * n * n):
         monkeypatch.setattr(kernel, "ONE_HOT_BYTES", budget)
-        for cyclic in (True, False):
-            got = rainbow_triangle_mask(codes, n, require_cyclic=cyclic)
-            assert got.tolist() == want[cyclic], (budget, cyclic)
+        got = rainbow_triangle_mask(codes, n)
+        assert got.tolist() == want, budget
 
 
 def test_rainbow_mask_requires_three_colours():
     rng = random.Random(9)
     codes = random_codes(rng, 200, 5, colours=2)
     assert not rainbow_triangle_mask(codes, 5, colours=2).any()
-    assert not rainbow_triangle_mask(codes, 5, colours=2, require_cyclic=False).any()
 
 
-# (colours, order): both sides of the uint32/uint64 switch and the word limit
+# (colours, order): both sides of 32 colour bits and the word limit
 WORD_EDGES = [(3, n) for n in (3, 5, 6, 10, 11, 21)] + [(2, n) for n in (16, 17, 32)]
 
 
@@ -442,8 +433,7 @@ def kernel_calls(codes, n, colours, ws=None):
     copied out, since with a workspace they live in buffers that later
     kernel calls rewrite."""
     out = {
-        "rainbow_triangle_mask": rainbow_triangle_mask(codes, n, colours, True, ws).copy(),
-        "rainbow_any": rainbow_triangle_mask(codes, n, colours, False, ws).copy(),
+        "rainbow_triangle_mask": rainbow_triangle_mask(codes, n, colours, ws).copy(),
         "two_colour_vertices_mask": two_colour_vertices_mask(codes, n, colours, ws).copy(),
         "decode_rows": decode_rows(codes, n, colours, ws).copy(),
         "closure_rows": closure_rows(decode_rows(codes, n, colours, ws), n, colours, ws).copy(),
@@ -496,7 +486,7 @@ def test_kernels_without_workspace_stay_pure():
         codes = readonly(random_codes(rng, 50, n, colours))
         adj = readonly(decode_rows(codes, n, colours))
         planes = readonly(any_reach(codes, n, colours).planes)
-        reach = kernel.Reach(planes, 50, np.uint64)
+        reach = kernel.Reach(planes, 50)
         rows = readonly(np.arange(0, 50, 3))
         spec = EnumerationSpec(n=n, colours=colours, mode="sampled", samples=100, seed=3)
         calls = {
