@@ -33,7 +33,7 @@ import numpy as np
 
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
-from .enumeration import DEFAULT_BUDGET, EnumerationSpec
+from .enumeration import EnumerationSpec
 from . import kernel
 
 BATCH_ROWS = 1 << 15
@@ -270,30 +270,17 @@ def estimate_f(
     return scan.run(evaluate)
 
 
-def search_pattern(
-    order: int,
-    pattern: tuple,
-    mode: str = "exhaustive",
-    samples: int = 0,
-    seed: int = 0,
-    shard: tuple[int, int] = (0, 1),
-    budget: int = DEFAULT_BUDGET,
-    progress: int = 0,
-) -> CampaignResult:
+def search_pattern(order: int, pattern: tuple, shard: tuple[int, int] = (0, 1)) -> CampaignResult:
     """Scan all completions of a colour-patterned Hamilton cycle.
 
     The cycle 0 -> 1 -> ... -> order-1 -> 0 is pinned with the repeating
-    pattern; the remaining pairs are enumerated (or sampled).  Reports
-    instances passing the weak test (qualifying cycle, no cyclic rainbow
-    triangle, no dominating vertex) as violators, and runs the full audit on
-    each of them; audits reaching the all-conditions-pass verdict are counted
-    as alarms.  check_failures histograms the failed checks seen.
+    pattern; the remaining pairs are enumerated.  Reports instances passing
+    the weak test (qualifying cycle, no cyclic rainbow triangle, no
+    dominating vertex) as violators, and runs the full audit on each of
+    them; audits reaching the all-conditions-pass verdict are counted as
+    alarms.  check_failures histograms the failed checks seen.
     """
-    spec = EnumerationSpec(
-        n=order, colours=3, mode=mode, pattern=tuple(pattern), shard=shard,
-        samples=samples, seed=seed, budget=budget,
-    )
-    return screen_and_audit(spec, progress)
+    return screen_and_audit(EnumerationSpec(n=order, pattern=pattern, shard=shard))
 
 
 def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:

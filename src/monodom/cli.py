@@ -4,7 +4,8 @@ Subcommands: check, audit, cover (single-instance, reading the matrix file
 format), verify, search (campaigns), gen (seeded instance generation).
 Exit status: 0 completed with no violators or alarms, 1 violator or alarm
 found, 2 usage or input error, or an internal error (with its traceback on
-stderr).
+stderr).  verify and search import campaigns (and with it numpy and the
+batch kernel) when they run, so check, audit and cover load neither.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 import traceback
 
 from .auditor import audit
-from .campaigns import run_parallel, screen_and_audit, verify_conjecture
 from .core import (
     Colour,
     ColouredTournament,
@@ -238,6 +238,8 @@ def _progress(spec: EnumerationSpec) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .campaigns import run_parallel, verify_conjecture
+
     spec = _space(args, colours=args.colours, filter=args.filter)
     cpus = os.cpu_count() or 1
     workers = min(args.workers or cpus, cpus)
@@ -252,6 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .campaigns import screen_and_audit
+
     spec = _space(args, pattern=args.pattern)
     result = screen_and_audit(spec, _progress(spec))
     if args.format == "json":

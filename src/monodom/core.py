@@ -78,7 +78,7 @@ class ColouredTournament:
     otherwise.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "_matrix", "_hash")
+    __slots__ = ("n", "_matrix")
 
     def __init__(self, n: int, matrix: Sequence[Sequence[Colour | None]]):
         if n < 1:
@@ -97,7 +97,6 @@ class ColouredTournament:
     def _store(self, n: int, matrix: Sequence[Sequence[Colour | None]]) -> None:
         self.n = n
         self._matrix = tuple(tuple(row) for row in matrix)
-        self._hash = hash((n, self._matrix))
 
     def _validate(self) -> None:
         m = self._matrix
@@ -233,7 +232,7 @@ class ColouredTournament:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._matrix))
 
     def __repr__(self) -> str:
         return f"ColouredTournament(n={self.n})"

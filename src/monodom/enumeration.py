@@ -12,11 +12,12 @@ one seed slice the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import Colour, ColouredTournament, pair_slots, slot_index
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SAMPLE_BLOCK_ROWS = 65536
 
@@ -25,7 +26,7 @@ FILTERS = ("none", "two-colour-vertices")
 
 DEFAULT_BUDGET = 10**8
 INDEX_LIMIT = 2**63  # global indices fit one signed 64-bit integer
-WORD_BITS = 64  # colours * n bits, one word of the batch kernel's reach word view
+WORD_BITS = 64  # colours * n <= 64: where the kernel is tested against the engine
 
 
 class BudgetExceededError(ValueError):
@@ -204,6 +205,7 @@ def philox_digits(
     on the seed, the base, the width and its position: a short draw is a
     prefix of the full block.
     """
+    import numpy as np  # here only: the CLI reads MODES without loading numpy
     _check_seed(seed)
     key = np.array([seed, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, block], key=key))

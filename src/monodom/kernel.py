@@ -18,8 +18,8 @@ broadcast and and one or; the masks read the any-colour planes.  Rows go
 through decode and closure in chunks whose temporaries fit REACH_BYTES.
 any_reach returns a Reach, which also shows the relation as the uint64
 words of the pure engine, one per vertex, for oracles and spot checks; the
-kernel refuses orders whose colours * n bits pass WORD_BITS, as
-EnumerationSpec does.
+kernel refuses colours * n > WORD_BITS, as EnumerationSpec does: that is
+the range over which it is tested against the engine.
 
 Every batch kernel takes an optional Workspace, into which it writes its
 temporaries and its result.  Batch-sized arrays allocated afresh come from
@@ -219,7 +219,7 @@ def take_rows(codes: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) 
 
 
 def _check_word(n: int, colours: int) -> None:
-    """Refuse orders whose n-bit plane per colour overflows the reach word."""
+    """Refuse colours * n > WORD_BITS: the range tested against the engine."""
     bits = colours * n
     if bits > WORD_BITS:
         raise ValueError(

@@ -200,8 +200,8 @@ def test_search_pattern_takes_integer_colours():
 
 
 def test_search_pattern_sampled_deterministic():
-    a = search_pattern(6, RB, mode="sampled", samples=5000, seed=8)
-    b = search_pattern(6, RB, mode="sampled", samples=5000, seed=8)
+    spec = EnumerationSpec(n=6, pattern=RB, mode="sampled", samples=5000, seed=8)
+    a, b = screen_and_audit(spec), screen_and_audit(spec)
     assert a.to_json() == b.to_json()
     assert a.counts["violations"] == 0
 
@@ -403,7 +403,8 @@ GOLDEN_REPORTS = {
             EnumerationSpec(n=6, mode="sampled", samples=100000, seed=7)),
         "884dde4a6d962dbfe2a6f7e0033fb13e87e6d8d04a10a35609587dbaaa22cf29"),
     "search rb sampled n=6": (
-        lambda: search_pattern(6, RB, mode="sampled", samples=50000, seed=3),
+        lambda: screen_and_audit(
+            EnumerationSpec(n=6, pattern=RB, mode="sampled", samples=50000, seed=3)),
         "aa1d7b27392d2cfa25b0c5be532532b36a980d4f8a6e0359543ae0231de358f3"),
     # check_failures["t3"] pins the T_3 counts: 99,087 of 100,000 rows at
     # n=9 and all 40,000 at n=12; the T_3 mask takes a full batch of either

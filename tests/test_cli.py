@@ -2,9 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monodom
+import monodom.campaigns as campaigns
 import monodom.cli as cli
 from monodom.campaigns import CampaignResult
 from monodom.core import parse
@@ -24,6 +29,21 @@ def t3_file(tmp_path):
     path = tmp_path / "t3.txt"
     path.write_text(T3_TEXT)
     return str(path)
+
+
+def test_engine_loads_without_numpy():
+    """The pure engine and the single-instance commands import neither
+    numpy nor the batch code it is the oracle of."""
+    src = str(Path(monodom.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        "import monodom.core, monodom.domination, monodom.auditor, monodom.cli\n"
+        "print(sorted({'numpy', 'monodom.kernel', 'monodom.campaigns'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_check_text(capsys, t3_file):
@@ -302,7 +322,7 @@ def test_exit_1_on_violator(capsys, monkeypatch):
         {"enumerated": 216, "examined": 216, "violations": 1},
         violators=[{"index": 7, "instance": T3_TEXT}],
     )
-    monkeypatch.setattr(cli, "run_parallel", lambda *a, **k: doctored)
+    monkeypatch.setattr(campaigns, "run_parallel", lambda *a, **k: doctored)
     status, out, _ = run_cli(capsys, "verify", "--order", "3")
     assert status == 1
     assert "violator at index 7" in out
@@ -313,7 +333,7 @@ def test_exit_1_on_alarm(capsys, monkeypatch):
     doctored = CampaignResult(
         spec, {"enumerated": 1, "examined": 1, "violations": 0, "alarms": 1}
     )
-    monkeypatch.setattr(cli, "screen_and_audit", lambda *a, **k: doctored)
+    monkeypatch.setattr(campaigns, "screen_and_audit", lambda *a, **k: doctored)
     status, _, _ = run_cli(capsys, "search", "--order", "3", "--pattern", "rgb")
     assert status == 1
 
@@ -322,7 +342,7 @@ def test_internal_error_exits_2_not_1(capsys, monkeypatch):
     def broken(*a, **k):
         raise RuntimeError("kernel fell over")
 
-    monkeypatch.setattr(cli, "run_parallel", broken)
+    monkeypatch.setattr(campaigns, "run_parallel", broken)
     status, out, err = run_cli(capsys, "verify", "--order", "3")
     assert status == 2
     assert out == ""
@@ -337,7 +357,7 @@ def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
         asked.append(workers)  # start no process: run the campaign here
         return campaign(spec, **kwargs)
 
-    monkeypatch.setattr(cli, "run_parallel", in_process)
+    monkeypatch.setattr(campaigns, "run_parallel", in_process)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for workers in ("100000", "0", "1"):
         status, out, _ = run_cli(capsys, "verify", "--order", "3", "--workers", workers)

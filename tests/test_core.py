@@ -1,10 +1,9 @@
-"""Instance model, file format, transforms and the public surface."""
+"""Instance model, file format and transforms."""
 
 import random
 
 import pytest
 
-import monodom
 from monodom.core import (
     COLOURS,
     Colour,
@@ -100,7 +99,8 @@ def test_serialize_round_trip_seeded():
     for _ in range(200):
         n = rng.randrange(1, 9)
         t = random_instance(rng, n)
-        assert parse(serialize(t)) == t
+        u = parse(serialize(t))
+        assert u == t and hash(u) == hash(t)
 
 
 def test_parse_checks_each_pair_once(monkeypatch):
@@ -181,14 +181,6 @@ def test_relabel_permutes_consistently_seeded():
         u = t.relabel(perm)
         for i, j, colour in t.arcs():
             assert u.arc_colour(perm[i], perm[j]) is colour
-
-
-def test_public_surface_resolves():
-    for name in monodom.__all__:
-        assert hasattr(monodom, name), name
-    namespace = {}
-    exec("from monodom import *", namespace)
-    assert set(monodom.__all__) <= set(namespace)
 
 
 def test_canonical_json_stable():
