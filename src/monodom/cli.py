@@ -32,7 +32,7 @@ from .domination import (
     find_rainbow_triangle,
     min_cover,
 )
-from .enumeration import DEFAULT_BUDGET, FILTERS, MODES, EnumerationSpec, philox_digits
+from .enumeration import DEFAULT_BUDGET, FILTERS, EnumerationSpec, philox_digits
 
 PROGRESS_THRESHOLD = 10**7
 PROGRESS_EVERY = 10**6
@@ -78,28 +78,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_space(sp):
         sp.add_argument("--order", type=int, required=True)
-        sp.add_argument("--mode", choices=MODES, default="exhaustive")
-        sp.add_argument("--samples", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=0, help="N >= 1: sample N instances")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="K/M")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("check", help="report domination facts for one instance")
+    sp.set_defaults(handler=cmd_check)
     add_input(sp)
     sp.add_argument("--cyclic", choices=("on", "off"), default="on",
                     help="require the rainbow triangle to be cyclic")
     add_format(sp)
 
     sp = sub.add_parser("audit", help="run every necessary-condition check")
+    sp.set_defaults(handler=cmd_audit)
     add_input(sp)
     add_format(sp)
 
     sp = sub.add_parser("cover", help="smallest monochromatically covering set")
+    sp.set_defaults(handler=cmd_cover)
     add_input(sp)
     sp.add_argument("--kmax", type=int, default=4, dest="k_max")
     add_format(sp)
 
     sp = sub.add_parser("verify", help="run a verification campaign")
+    sp.set_defaults(handler=cmd_verify)
     add_space(sp)
     sp.add_argument("--colours", type=int, choices=(2, 3), default=3)
     sp.add_argument("--filter", choices=FILTERS, default="none")
@@ -108,12 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(sp)
 
     sp = sub.add_parser("search", help="scan completions of a patterned cycle")
+    sp.set_defaults(handler=cmd_search)
     add_space(sp)
     sp.add_argument("--pattern", type=_parse_pattern, required=True,
                     help="cycle colour pattern, e.g. rb or rgb")
     add_format(sp)
 
     sp = sub.add_parser("gen", help="emit one seeded random instance")
+    sp.set_defaults(handler=cmd_gen)
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--colours", type=int, choices=(2, 3), default=3)
     sp.add_argument("--seed", type=int, default=0)
@@ -201,23 +206,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def _campaign_text(result, label: str) -> None:
     print(f"campaign: {label}")
-    spec = result.spec
-    line = f"spec: n={spec.n} colours={spec.colours} mode={spec.mode}"
-    if spec.mode == "sampled":
-        line += f" samples={spec.samples} seed={spec.seed}"
-    if spec.filter != "none":
-        line += f" filter={spec.filter}"
-    if spec.pattern is not None:
-        line += f" pattern={''.join(c.char for c in spec.pattern)}"
-    if spec.shard != (0, 1):
-        line += f" shard={spec.shard[0]}/{spec.shard[1]}"
-    print(line)
+    print("spec:", canonical_json(result.spec.to_dict()))
     print("counts:", " ".join(f"{k}={v}" for k, v in sorted(result.counts.items())))
     if result.check_failures:
         print("check failures:",
               " ".join(f"{k}={v}" for k, v in sorted(result.check_failures.items())))
-    if result.extremal.get("min_cover"):
-        print(f"max min_cover order: {result.max_cover_order}")
     if result.elapsed:
         print(f"elapsed: {result.elapsed:.2f}s ({result.rate:.0f} instances/s)")
     for v in result.violators:
@@ -225,27 +218,20 @@ def _campaign_text(result, label: str) -> None:
         print(v["instance"], end="")
 
 
-def _space(args: argparse.Namespace, **fields) -> EnumerationSpec:
-    """The spec of add_space's options, plus the subcommand's own fields."""
-    return EnumerationSpec(
-        n=args.order, mode=args.mode, shard=args.shard, samples=args.samples,
-        seed=args.seed, budget=args.budget, **fields,
+def _campaign(args: argparse.Namespace, name: str, label: str, workers: int = 1,
+              **fields) -> int:
+    """Run campaigns.<name> over the spec of add_space's options plus the
+    subcommand's own fields, and print its report; --samples N selects sampled mode."""
+    from . import campaigns
+
+    spec = EnumerationSpec(
+        n=args.order, mode="sampled" if args.samples else "exhaustive",
+        shard=args.shard, samples=args.samples, seed=args.seed, budget=args.budget,
+        **fields,
     )
-
-
-def _progress(spec: EnumerationSpec) -> int:
-    return PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    from .campaigns import run_parallel, verify_conjecture
-
-    spec = _space(args, colours=args.colours, filter=args.filter)
-    cpus = os.cpu_count() or 1
-    workers = min(args.workers or cpus, cpus)
-    result = run_parallel(verify_conjecture, spec, workers=workers, progress=_progress(spec))
-    label = ("2-coloured dominating vertex" if args.colours == 2
-             else "cyclic T_3 or dominating vertex")
+    progress = PROGRESS_EVERY if spec.shard_size() >= PROGRESS_THRESHOLD else 0
+    result = campaigns.run_parallel(getattr(campaigns, name), spec, workers=workers,
+                                    progress=progress)
     if args.format == "json":
         print(result.to_json())
     else:
@@ -253,17 +239,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if result.violations else 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    from .campaigns import screen_and_audit
+def cmd_verify(args: argparse.Namespace) -> int:
+    label = ("2-coloured dominating vertex" if args.colours == 2
+             else "cyclic T_3 or dominating vertex")
+    cpus = os.cpu_count() or 1
+    return _campaign(args, "verify_conjecture", label, workers=min(args.workers or cpus, cpus),
+                     colours=args.colours, filter=args.filter)
 
-    spec = _space(args, pattern=args.pattern)
-    result = screen_and_audit(spec, _progress(spec))
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        pattern = "".join(c.char for c in args.pattern)
-        _campaign_text(result, f"pattern {pattern} cycle completions")
-    return 1 if result.violations or result.counts.get("alarms") else 0
+
+def cmd_search(args: argparse.Namespace) -> int:
+    pattern = "".join(c.char for c in args.pattern)
+    return _campaign(args, "screen_and_audit", f"pattern {pattern} cycle completions",
+                     pattern=args.pattern)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -278,20 +265,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check": cmd_check,
-    "audit": cmd_audit,
-    "cover": cmd_cover,
-    "verify": cmd_verify,
-    "search": cmd_search,
-    "gen": cmd_gen,
-}
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except (ValueError, OSError) as e:
         kind = "malformed instance: " if isinstance(e, TournamentFormatError) else ""
         print(f"error: {kind}{e}", file=sys.stderr)

@@ -96,6 +96,8 @@ class EnumerationSpec:
                 raise ValueError("sampled mode needs samples >= 1")
         elif self.samples:
             raise ValueError("samples only meaningful in sampled mode")
+        elif self.seed:  # to_dict drops it, so it would change nothing but merges
+            raise ValueError("seed only meaningful in sampled mode")
         if self.mode == "exhaustive" and self.space > self.budget:
             raise BudgetExceededError(
                 f"exhaustive space {self.space} exceeds budget {self.budget}; "
@@ -205,7 +207,7 @@ def philox_digits(
     on the seed, the base, the width and its position: a short draw is a
     prefix of the full block.
     """
-    import numpy as np  # here only: the CLI reads MODES without loading numpy
+    import numpy as np  # here only: the CLI reads FILTERS without loading numpy
     _check_seed(seed)
     key = np.array([seed, 0], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, block], key=key))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from monodom import campaigns, enumeration, kernel
-from monodom.auditor import AuditReport, CheckResult
+from monodom.auditor import AuditReport, CheckResult, audit
 from monodom.campaigns import (
     BATCH_ROWS,
     CampaignResult,
@@ -20,7 +20,7 @@ from monodom.campaigns import (
 )
 from monodom.core import Colour, parse
 from monodom.domination import find_rainbow_triangle
-from monodom.enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec
+from monodom.enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec, enumerate_instances
 
 RB = (Colour.RED, Colour.BLUE)
 RGB = (Colour.RED, Colour.GREEN, Colour.BLUE)
@@ -105,7 +105,7 @@ def test_merge_rejects_results_of_different_specs():
     for other in (replace(base, seed=2), replace(base, samples=11), replace(base, n=6),
                   replace(base, pattern=RGB[:2]), replace(base, colours=2, pattern=None),
                   replace(base, filter="two-colour-vertices"),
-                  replace(base, mode="exhaustive", samples=0)):
+                  replace(base, mode="exhaustive", samples=0, seed=0)):
         stray = CampaignResult(replace(other, shard=(1, 2)), {"enumerated": 5})
         with pytest.raises(ValueError, match="different specs"):
             merge_results([halves[0], stray])
@@ -128,6 +128,31 @@ def test_merged_alarms_keep_the_lowest_indices(monkeypatch):
     assert sorted(whole.extremal["alarms"]) == ["0", "1"]
     parts = [search_pattern(4, RB, shard=(k, 3)) for k in range(3)]
     assert all(len(p.extremal["alarms"]) == 2 for p in parts)
+    assert merge_results(parts).to_json() == whole.to_json()
+
+
+def test_search_histograms_failing_audit_findings(monkeypatch):
+    """With every row a weak violator, check_failures holds exactly the
+    failing findings of audit on each completion, and shards merge to it."""
+    none = lambda rows, *a, **k: np.zeros(len(rows), dtype=bool)  # noqa: E731
+    monkeypatch.setattr(kernel, "qualifying_cycle_mask",
+                        lambda reach, n, ws=None: np.ones(len(reach), dtype=bool))
+    monkeypatch.setattr(kernel, "rainbow_triangle_mask", none)
+    monkeypatch.setattr(kernel, "dominating_vertex_mask", none)
+    expected = {"t3": 0, "dominating_vertex": 0, "genhamilton": 0}
+    alarms = 0
+    for _, t in enumerate_instances(EnumerationSpec(n=4, pattern=RB)):
+        report = audit(t)
+        alarms += report.alarm
+        for f in report.findings:
+            if not f.holds:
+                expected[f.check] = expected.get(f.check, 0) + 1
+    whole = search_pattern(4, RB)
+    assert whole.counts == {"alarms": alarms, "enumerated": 36, "examined": 36,
+                            "violations": 36}
+    assert whole.check_failures == expected
+    assert sum(expected.values()) > 0
+    parts = [search_pattern(4, RB, shard=(k, 3)) for k in range(3)]
     assert merge_results(parts).to_json() == whole.to_json()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import monodom
 import monodom.campaigns as campaigns
 import monodom.cli as cli
 from monodom.campaigns import CampaignResult
-from monodom.core import parse
+from monodom.core import canonical_json, parse
 from monodom.enumeration import DEFAULT_BUDGET, EnumerationSpec
 
 T3_TEXT = "3\n.r.\n..b\ng..\n"
@@ -150,7 +151,7 @@ def test_cover_kmax_missed(capsys, t3_file):
 
 def test_verify_two_colours(capsys):
     status, out, _ = run_cli(
-        capsys, "verify", "--colours", "2", "--order", "4", "--mode", "exhaustive"
+        capsys, "verify", "--colours", "2", "--order", "4"
     )
     assert status == 0
     assert "violations=0" in out
@@ -179,13 +180,36 @@ def test_verify_shard_and_filter(capsys):
 
 
 def test_verify_sampled_deterministic(capsys):
-    args = ("verify", "--order", "6", "--mode", "sampled", "--samples", "2000",
-            "--seed", "9", "--format", "json")
+    args = ("verify", "--order", "6", "--samples", "2000", "--seed", "9", "--format", "json")
     status, out1, _ = run_cli(capsys, *args)
     status2, out2, _ = run_cli(capsys, *args)
     assert status == status2 == 0
     assert out1 == out2
     assert json.loads(out1)["seed"] == 9
+
+
+def test_text_spec_line_is_the_json_spec(capsys):
+    argv = ("verify", "--order", "5", "--samples", "300", "--seed", "4", "--shard", "1/3")
+    status, text, _ = run_cli(capsys, *argv)
+    assert status == 0
+    status, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert status == 0
+    spec = canonical_json(json.loads(out)["spec"])
+    assert f"\nspec: {spec}\n" in text
+
+
+def test_seed_needs_sampled_mode(capsys):
+    """An exhaustive report omits the seed, so a seed would change only
+    which shards merge."""
+    with pytest.raises(ValueError, match="seed only meaningful in sampled mode"):
+        EnumerationSpec(n=4, seed=3)
+    for argv, message in (
+        (("--seed", "3"), "seed only meaningful in sampled mode"),
+        (("--samples", "-3"), "sampled mode needs samples >= 1"),
+    ):
+        status, out, err = run_cli(capsys, "verify", "--order", "4", *argv)
+        assert status == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_search_rb4(capsys):
@@ -259,11 +283,9 @@ def test_exit_2_past_index_limit(capsys):
 
 def test_exit_2_past_kernel_word(capsys):
     for argv in (
-        ("verify", "--order", "22", "--mode", "sampled", "--samples", "10"),
-        ("verify", "--order", "33", "--colours", "2", "--mode", "sampled",
-         "--samples", "10"),
-        ("search", "--order", "22", "--pattern", "rb", "--mode", "sampled",
-         "--samples", "10"),
+        ("verify", "--order", "22", "--samples", "10"),
+        ("verify", "--order", "33", "--colours", "2", "--samples", "10"),
+        ("search", "--order", "22", "--pattern", "rb", "--samples", "10"),
     ):
         status, _, err = run_cli(capsys, *argv)
         assert status == 2
@@ -292,7 +314,7 @@ def test_exit_2_on_bad_flags(capsys):
     assert e.value.code == 2
     capsys.readouterr()
     for argv, message in (
-        (["verify", "--order", "3", "--mode", "canonical"], "invalid choice"),
+        (["verify", "--order", "3", "--mode", "sampled"], "unrecognized arguments"),
         (["verify", "--order", "3", "--workers", "-1"], "non-negative integer"),
     ):
         with pytest.raises(SystemExit) as e:
@@ -365,12 +387,29 @@ def test_verify_workers_capped_at_cpu_count(capsys, monkeypatch):
     assert asked == [2, 2, 1]
 
 
+def test_readme_commands_parse(capsys):
+    """Every `$ ... monodom ...` line of README.md is accepted by the parser."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = [line.split("monodom", 1)[1].split("#", 1)[0]
+                for line in readme.read_text().splitlines()
+                if line.startswith("$ ") and "monodom " in line]
+    assert len(commands) >= 10
+    rejected = []
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(command))
+        except SystemExit:
+            rejected.append(command)
+    capsys.readouterr()
+    assert rejected == []
+
+
 def test_config_from_args_defaults():
     args = cli.build_parser().parse_args(["verify", "--order", "5"])
     assert args.subcommand == "verify"
     assert args.order == 5
     assert args.colours == 3
-    assert args.mode == "exhaustive"
+    assert not hasattr(args, "mode")
     assert args.shard == (0, 1)
     assert args.budget == DEFAULT_BUDGET
     assert not hasattr(args, "cyclic")
