@@ -220,7 +220,7 @@ class ColouredTournament:
             raise ValueError("induced subtournament needs at least one vertex")
         k = len(labels)
         matrix = [[self._matrix[labels[a]][labels[b]] for b in range(k)] for a in range(k)]
-        return ColouredTournament(k, matrix), labels
+        return ColouredTournament._checked(k, matrix), labels  # a subtournament of a valid one
 
     # -- equality ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ x dominates y monochromatically when a directed path from x to y exists whose
 arcs all share one colour.  The relation is irreflexive by convention: x
 reaches itself only along a monochromatic directed cycle.  Covers use the
 opposite convention (a vertex covers itself) so that a dominating vertex is
-always a cover of order 1.
+always a cover of order 1.  The closure and the T_3 search work on whole
+integers: a lane of bits per (vertex, colour), and a mask of third vertices per pair.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ class DominationRelation:
     """Per-colour reachability closure over a fixed tournament.
 
     rows[c][x] is a bitmask over y of "x reaches y by a colour-c path of
-    length >= 1".  Built once by a Warshall pass over adjacency rows that
-    pack every colour into one integer; immutable afterwards.
+    length >= 1".  domination_relation closes the whole tournament as one
+    integer m, bit x*3n + c*n + y set when x reaches y in colour c: row x
+    holds one n-bit lane per colour.  Immutable afterwards.
     """
 
     __slots__ = ("n", "rows", "any_rows")
@@ -42,31 +44,29 @@ class DominationRelation:
         return (self.any_rows[x] | 1 << x) == full
 
 
-def _closure(rows: list[int], n: int) -> list[int]:
-    """Warshall closure (paths of length >= 1) of packed rows: plane c, bits
-    c*n .. c*n+n-1 of rows[x], holds x's colour-c successors.
-
-    For each k, a row reaching k in colour c gains plane c of row k:
-    (row >> k) & lanes puts that bit at c*n, and multiplying by 2**n - 1
-    spreads it over its own plane without carries.
-    """
-    lanes = sum(1 << (c * n) for c in COLOURS)
-    fill = (1 << n) - 1
-    for k in range(n):
-        rk = rows[k]
-        rows = [r | ((r >> k & lanes) * fill & rk) for r in rows]
-    return rows
-
-
 def domination_relation(t: ColouredTournament) -> DominationRelation:
-    """Exact per-colour reachability closure for t."""
+    """Exact per-colour reachability closure for t.
+
+    Warshall's step k ORs row k's lane c into each lane (x, c) that holds
+    bit k: (m >> k & lanes) * fill spreads that bit over its lane, and
+    (m >> k*3n & row_mask) * rep copies row k into every row.  Neither
+    product carries across lanes.
+    """
     n = t.n
-    packed = [0] * n
-    for i, j, c in t.arcs():
-        packed[i] |= 1 << (c * n + j)
-    packed = _closure(packed, n)
-    plane = (1 << n) - 1
-    rows = tuple(tuple(r >> (c * n) & plane for r in packed) for c in COLOURS)
+    width = 3 * n
+    m = 0
+    for x, row in enumerate(t._matrix):
+        packed = 0
+        for y, c in enumerate(row):
+            if c is not None:
+                packed |= 1 << (c * n + y)
+        m |= packed << (x * width)
+    fill, row_mask = (1 << n) - 1, (1 << width) - 1
+    rep = ((1 << width * n) - 1) // row_mask  # bit 0 of every row
+    lanes = rep * (row_mask // fill)  # bit 0 of every lane
+    for k in range(n):
+        m |= (m >> k & lanes) * fill & (m >> k * width & row_mask) * rep
+    rows = tuple(tuple(m >> (x * width + c * n) & fill for x in range(n)) for c in COLOURS)
     return DominationRelation(n, rows)
 
 
@@ -158,18 +158,38 @@ class RainbowTriangle:
         return {"triangle": list(self.vertices), "arcs": arcs}
 
 
-def _triangle(t: ColouredTournament, i: int, j: int, k: int) -> RainbowTriangle | None:
+def _triangle(t: ColouredTournament, i: int, j: int, k: int) -> RainbowTriangle:
+    """The witness on the rainbow triple i < j < k."""
     arcs = []
     for a, b in ((i, j), (i, k), (j, k)):
         if not t.beats(a, b):
             a, b = b, a
         arcs.append((a, b, t.arc_colour(a, b)))
-    if len({c for _, _, c in arcs}) != 3:
-        return None
     succ = {a: b for a, b, _ in arcs}
     cyclic = len(succ) == 3  # a 3-cycle iff every vertex has out-degree 1 in the triple
     order = (i, succ[i], succ[succ[i]]) if cyclic else (i, j, k)
     return RainbowTriangle(order, cyclic, tuple(sorted(arcs)))
+
+
+# arc colour c -> the _masks_above entries (out d, into e, out e, into d), d < e the others
+_CLOSING = tuple((d, 3 + e, e, 3 + d) for d, e in ((1, 2), (0, 2), (0, 1)))
+
+
+def _masks_above(matrix: tuple, v: int, n: int, require_cyclic: bool) -> list[int]:
+    """Colour masks of v over the y > v: entry c holds the y with v -> y of
+    colour c, entry 3 + c those with y -> v of colour c.  Without
+    require_cyclic both halves hold the pair-colour masks."""
+    row = matrix[v]
+    masks = [0] * 6
+    for y in range(v + 1, n):
+        c = row[y]
+        if c is None:
+            masks[3 + matrix[y][v]] |= 1 << y
+        else:  # 0 + c is a plain int, which lists index faster than a Colour
+            masks[0 + c] |= 1 << y
+    if not require_cyclic:
+        masks[:3] = masks[3:] = [o | i for o, i in zip(masks, masks[3:])]
+    return masks
 
 
 def find_rainbow_triangle(
@@ -179,11 +199,31 @@ def find_rainbow_triangle(
 
     With require_cyclic the triangle must be a directed 3-cycle (a T_3);
     without, any orientation with three distinct arc colours qualifies.
+
+    Walks the pairs i < j in order: with a -> b the pair's arc, of colour c,
+    and d, e the other colours, the k > j closing a T_3 are the bits of
+    (out[d][b] & into[e][a] | out[e][b] & into[d][a]) >> j+1, the lowest
+    first.  Masks are built on a vertex's first pair, so early exits stay cheap.
     """
-    for i, j, k in combinations(range(t.n), 3):
-        tri = _triangle(t, i, j, k)
-        if tri is not None and (tri.cyclic or not require_cyclic):
-            return tri
+    n = t.n
+    matrix = t._matrix
+    masks: list[list[int] | None] = [None] * n
+    for i in range(n - 2):
+        masks_i = masks[i] or _masks_above(matrix, i, n, require_cyclic)
+        row = matrix[i]
+        for j in range(i + 1, n - 1):
+            masks_j = masks[j]
+            if masks_j is None:
+                masks_j = masks[j] = _masks_above(matrix, j, n, require_cyclic)
+            c = row[j]
+            if c is None:  # the arc runs j -> i
+                a, b, c = masks_j, masks_i, matrix[j][i]
+            else:
+                a, b = masks_i, masks_j
+            out_d, into_e, out_e, into_d = _CLOSING[c]
+            closing = (b[out_d] & a[into_e] | b[out_e] & a[into_d]) >> (j + 1)
+            if closing:
+                return _triangle(t, i, j, j + (closing & -closing).bit_length())
     return None
 
 

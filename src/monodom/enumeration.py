@@ -101,7 +101,7 @@ class EnumerationSpec:
         if self.mode == "exhaustive" and self.space > self.budget:
             raise BudgetExceededError(
                 f"exhaustive space {self.space} exceeds budget {self.budget}; "
-                "use sampled mode"
+                "use sampled mode (--samples N) or raise --budget"
             )
         if self.index_count > INDEX_LIMIT:
             raise ValueError(f"{self.mode} index space {self.index_count} exceeds "

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import monodom
 import monodom.campaigns as campaigns
 import monodom.cli as cli
 from monodom.campaigns import CampaignResult
-from monodom.core import canonical_json, parse
+from monodom.core import ColouredTournament, canonical_json, parse, serialize
 from monodom.enumeration import DEFAULT_BUDGET, EnumerationSpec
 
 T3_TEXT = "3\n.r.\n..b\ng..\n"
@@ -45,6 +46,37 @@ def test_engine_loads_without_numpy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_engine_commands_run_without_numpy(capsys, tmp_path):
+    """check, audit and cover print the same with numpy unimportable as they
+    do in this process, on an order-3 T_3 and an order-17 instance."""
+    rng = random.Random(17)
+    n17 = ColouredTournament.from_codes(17, [rng.randrange(6) for _ in range(136)])
+    files = [tmp_path / "t3.txt", tmp_path / "n17.txt"]
+    files[0].write_text(T3_TEXT)
+    files[1].write_text(serialize(n17))
+    argvs = [[command, "--input", str(path), "--format", fmt]
+             for command in ("check", "audit", "cover") for path in files
+             for fmt in ("text", "json")]
+    want = [list(run_cli(capsys, *argv)) for argv in argvs]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import monodom.cli\n"
+        "got = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = monodom.cli.main(argv)\n"
+        "    got.append([status, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(got))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(monodom.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == want
+    assert [status for status, _, _ in want] == [0] * 10 + [2, 2]  # cover stops at order 16
 
 
 def test_check_text(capsys, t3_file):
@@ -263,7 +295,7 @@ def test_exit_2_on_missing_file(capsys):
 def test_exit_2_on_budget(capsys):
     status, _, err = run_cli(capsys, "verify", "--order", "12")
     assert status == 2
-    assert "use sampled mode" in err
+    assert "use sampled mode (--samples N) or raise --budget" in err
 
 
 def test_exit_2_past_index_limit(capsys):

@@ -1,7 +1,7 @@
 """Domination relation, covers, rainbow triangles, colour profiles."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -79,17 +79,38 @@ def test_dominates_rejects_equal_vertices():
         dominates(T3, 1, 1)
 
 
+def assert_matches_bfs(t):
+    rel = domination_relation(t)
+    for c in COLOURS:
+        for x in range(t.n):
+            reached = bfs_reaches(t, c, x)
+            for y in range(t.n):
+                assert bool(rel.rows[c][x] >> y & 1) == (y in reached)
+
+
 def test_relation_matches_bfs_oracle_seeded():
     rng = random.Random(202406)
-    for _ in range(120):
-        n = rng.randrange(2, 8)
-        t = random_instance(rng, n, colours=rng.choice((2, 3)))
-        rel = domination_relation(t)
-        for c in COLOURS:
-            for x in range(n):
-                reached = bfs_reaches(t, c, x)
-                for y in range(n):
-                    assert bool(rel.rows[c][x] >> y & 1) == (y in reached)
+    for n in range(1, 22):
+        for colours in (2, 3):
+            for _ in range(3):
+                assert_matches_bfs(random_instance(rng, n, colours))
+
+
+@pytest.mark.parametrize("n", [21, 64])
+@pytest.mark.parametrize("strong", [False, True])
+def test_relation_with_every_arc_red(n, strong):
+    # every red lane is all ones, so a carry across lanes would show at once;
+    # turning the arc 0 -> n-1 round makes the tournament strongly connected
+    arcs = {(i, j): Colour.RED for i in range(n) for j in range(i + 1, n)}
+    if strong:
+        arcs[(n - 1, 0)] = arcs.pop((0, n - 1))
+    t = ColouredTournament.from_arcs(n, arcs)
+    assert_matches_bfs(t)
+    rel = domination_relation(t)
+    full = (1 << n) - 1
+    want = [full if strong else full & ~((2 << x) - 1) for x in range(n)]
+    assert list(rel.rows[Colour.RED]) == want
+    assert rel.rows[Colour.BLUE] == rel.rows[Colour.GREEN] == (0,) * n
 
 
 def test_reversal_duality_seeded():
@@ -190,6 +211,36 @@ def test_rainbow_triangle_witness_arcs_valid_seeded():
         assert colours == set(COLOURS)
         assert t.beats(a, b) and t.beats(b, c) and t.beats(c, a)
     assert found > 50  # cyclic rainbow triangles are common at these orders
+
+
+def least_rainbow_triple(t, cyclic):
+    # the definition written out: three distinct pair colours and, for a
+    # T_3, the arcs i -> j -> k -> i or i -> k -> j -> i
+    for i, j, k in combinations(range(t.n), 3):
+        colours = {t.pair_colour(i, j), t.pair_colour(j, k), t.pair_colour(i, k)}
+        directed = t.beats(i, j) == t.beats(j, k) == t.beats(k, i)
+        if len(colours) == 3 and (directed or not cyclic):
+            return (i, j, k)
+    return None
+
+
+def all_instances(n, colours):
+    for codes in product(range(2 * colours), repeat=n * (n - 1) // 2):
+        yield ColouredTournament.from_codes(n, codes, colours)
+
+
+def test_witness_is_the_least_triangle():
+    rng = random.Random(4242)
+    exhaustive = [t for n in range(1, 5) for k in (2, 3) for t in all_instances(n, k)]
+    seeded = [random_instance(rng, n, k) for n in range(5, 22) for k in (2, 3) for _ in range(20)]
+    for t in exhaustive + seeded:
+        for cyclic in (True, False):
+            tri = find_rainbow_triangle(t, require_cyclic=cyclic)
+            want = least_rainbow_triple(t, cyclic)
+            assert (None if tri is None else tuple(sorted(tri.vertices))) == want
+            if tri is not None:
+                assert tri.cyclic == (t.beats(want[0], want[1]) == t.beats(want[1], want[2])
+                                      == t.beats(want[2], want[0]))
 
 
 def test_vertex_colour_profile():
