@@ -14,12 +14,13 @@ word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
 [c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
 is one compare and one np.packbits per code value and one gather through a
 (colours, n, n) slot table; Warshall closes every colour in n steps of one
-broadcast and and one or; the masks read the any-colour planes.  Rows go
-through decode and closure in chunks whose temporaries fit REACH_BYTES.
-any_reach returns a Reach, which also shows the relation as the uint64
-words of the pure engine, one per vertex, for oracles and spot checks; the
-kernel refuses colours * n > WORD_BITS, as EnumerationSpec does: that is
-the range over which it is tested against the engine.
+broadcast and and one or; the masks read the any-colour planes.  Every
+kernel call takes its whole batch in one pass, so its temporaries grow
+with the batch.  any_reach returns a Reach, which also shows each row's
+relation as n uint64 words, bit j of word i set when i => j: the pure
+engine's any_rows, which are Python ints, for oracles and spot checks.
+The kernel refuses colours * n > WORD_BITS, as EnumerationSpec does: that
+is the range over which it is tested against the engine.
 
 Every batch kernel takes an optional Workspace, into which it writes its
 temporaries and its result.  Batch-sized arrays allocated afresh come from
@@ -47,9 +48,7 @@ from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_b
 
 
 DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
-ONE_HOT_BYTES = 1 << 20  # the most one-hot slot bytes the T_3 mask holds at once
 WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
-REACH_BYTES = 1 << 20  # the most bytes of decode and closure temporaries at once
 
 
 class Workspace:
@@ -61,13 +60,12 @@ class Workspace:
     rows, or plane words of WORD_ROWS rows (`planes`).  A buffer that grows
     makes room for `most` entries of that axis, by default the largest batch
     batch_codes has produced here, so subsets of a batch (T_3-free rows,
-    filtered rows) never grow it; any_reach's chunk buffers make room for
-    one chunk.  A kernel's result lives in the buffer named after the kernel
-    and stays valid until the next call that writes that buffer: "planes"
-    holds the colour planes decode_rows writes and closure_rows closes in
-    place, "any_reach" the any-colour planes of a Reach, and
-    "scratch0".."scratch2" temporaries that no result outlives.  The T_3
-    mask writes only its own buffer and the scratch buffers, never
+    filtered rows) never grow it.  A kernel's result lives in the buffer
+    named after the kernel and stays valid until the next call that writes
+    that buffer: "planes" holds the colour planes decode_rows writes and
+    closure_rows closes in place, "any_reach" the any-colour planes of a
+    Reach, and "scratch0".."scratch2" temporaries that no result outlives.
+    The T_3 mask writes only its own buffer and the scratch buffers, never
     "any_reach": a scan may call it between any_reach and the masks that
     read the Reach.
 
@@ -99,10 +97,10 @@ class Workspace:
             self.buffers[name] = flat
         return flat[:nbytes].view(dtype).reshape(shape)
 
-    def planes(self, name: str, shape: tuple[int, ...], rows: int | None = None) -> np.ndarray:
+    def planes(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A bit-plane buffer: uint64, its last axis counts words of WORD_ROWS
-        rows, with room for the words of `rows` rows (default self.rows)."""
-        return self.buffer(name, shape, np.uint64, _plane_words(self.rows if rows is None else rows))
+        rows, with room for the words of self.rows rows."""
+        return self.buffer(name, shape, np.uint64, _plane_words(self.rows))
 
     def ramp(self, size: int) -> np.ndarray:
         """0, 1, ..., size - 1 as uint64 (read-only)."""
@@ -232,14 +230,6 @@ def _plane_words(rows: int) -> int:
     return -(-rows // WORD_ROWS)
 
 
-def _chunk_rows(n: int, colours: int) -> int:
-    """Rows per any_reach chunk: a multiple of WORD_ROWS whose compare bytes,
-    packed code planes, adjacency planes and closure step fit REACH_BYTES."""
-    pairs = n * (n - 1) // 2
-    row_bytes = pairs + (2 * colours * (pairs + n * n) + 1) / 8
-    return max(1, int(REACH_BYTES / row_bytes) // WORD_ROWS) * WORD_ROWS
-
-
 class Reach:
     """The dominates relation of a batch (reachable in some colour) as bit
     planes: bit r % 64 of planes[i, j, r // 64] is set when row r has a
@@ -312,18 +302,18 @@ def decode_rows(
     _check_word(n, colours)
     table = _slot_table(n, colours)
     B, P = codes.shape
-    W, room = _plane_words(B), _chunk_rows(n, colours)
-    packed = ws.planes("scratch1", (2 * colours * P + 1, W), room)
+    W = _plane_words(B)
+    packed = ws.planes("scratch1", (2 * colours * P + 1, W))
     packed_bytes = packed.view(np.uint8)
     full = -(-B // 8)  # bytes np.packbits fills per plane
     packed_bytes[:, full:] = 0  # a reused buffer holds the previous batch
     packed_bytes[-1] = 0
-    equal = ws.buffer("scratch0", (P, B), bool, room)
+    equal = ws.buffer("scratch0", (P, B), bool)
     for code in range(2 * colours):
         np.equal(codes.T, code, out=equal)
         packed_bytes[code * P : (code + 1) * P, :full] = np.packbits(equal, axis=1, bitorder="little")
-    planes = ws.planes("planes", table.shape + (W,), room)
-    np.take(packed, table.reshape(-1), axis=0, out=planes.reshape(-1, W), mode="clip")
+    planes = ws.planes("planes", table.shape + (W,))
+    np.take(packed, table.reshape(-1), axis=0, out=planes.reshape(table.size, W), mode="clip")
     return planes
 
 
@@ -338,11 +328,10 @@ def closure_rows(
     place.
     """
     ws = ws or Workspace()
-    room = _chunk_rows(n, colours)
-    reach = ws.planes("planes", adj.shape, room)
+    reach = ws.planes("planes", adj.shape)
     if reach.__array_interface__ != adj.__array_interface__:
         np.copyto(reach, adj)
-    step = ws.planes("scratch2", adj.shape, room)
+    step = ws.planes("scratch2", adj.shape)
     for k in range(n):
         np.bitwise_and(reach[:, :, k, None], reach[:, None, k], out=step)
         reach |= step
@@ -352,21 +341,14 @@ def closure_rows(
 def any_reach(
     codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> Reach:
-    """The dominates relation (reachable in some colour) of every row.
-
-    Rows go through decode_rows and closure_rows in chunks of whole plane
-    words whose temporaries fit REACH_BYTES; each chunk's colour planes
-    fold into the result's planes.
-    """
+    """The dominates relation (reachable in some colour) of every row:
+    decode_rows and closure_rows over the whole batch, then the colour
+    planes or-ed into the result's planes."""
     ws = ws or Workspace()
-    _check_word(n, colours)
     B = codes.shape[0]
+    reach = closure_rows(decode_rows(codes, n, colours, ws), n, colours, ws)
     out = ws.planes("any_reach", (n, n, _plane_words(B)))
-    step = _chunk_rows(n, colours)
-    for lo in range(0, B, step):
-        reach = closure_rows(decode_rows(codes[lo : lo + step], n, colours, ws), n, colours, ws)
-        w = lo // WORD_ROWS
-        np.bitwise_or.reduce(reach, axis=0, out=out[:, :, w : w + reach.shape[-1]])
+    np.bitwise_or.reduce(reach, axis=0, out=out)
     return Reach(out, B)
 
 
@@ -388,9 +370,8 @@ def rainbow_triangle_mask(
     For fixed (i, j) the slots (i, k) and (j, k), k > j, are two contiguous
     runs of pair_slots, so three 2-D operations per pair cover every k: an
     or, an xor with T[ij] that leaves 0 on a hit, and a running minimum.
-    Rows go through in chunks whose one-hot bytes fill at most
-    ONE_HOT_BYTES, held in "scratch0"; vertex i's runs of R and T go in
-    "scratch1", the or and the minimum in "scratch2".
+    The batch's one-hot bytes go in "scratch0", vertex i's runs of R and T
+    in "scratch1", the or and the minimum in "scratch2".
     """
     ws = ws or Workspace()
     B = codes.shape[0]
@@ -398,17 +379,6 @@ def rainbow_triangle_mask(
     if n < 3 or colours < 3:
         found.fill(False)
         return found
-    pairs = n * (n - 1) // 2
-    chunks = max(1, -(-pairs * B // ONE_HOT_BYTES))
-    bounds = [B * c // chunks for c in range(chunks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        _rainbow_rows(codes[lo:hi], n, ws, found[lo:hi])
-    return found
-
-
-def _rainbow_rows(codes: np.ndarray, n: int, ws: Workspace, found: np.ndarray) -> None:
-    """rainbow_triangle_mask of three colours and n >= 3, into `found`."""
-    B = codes.shape[0]
     m = n - 2  # the most vertices k past a pair (i, j)
     one_hot = ws.buffer("scratch0", codes.T.shape, np.uint8)
     np.left_shift(1, codes.T.astype(np.uint8, copy=False), out=one_hot)
@@ -436,7 +406,7 @@ def _rainbow_rows(codes: np.ndarray, n: int, ws: Workspace, found: np.ndarray) -
             run ^= other[r]
             np.minimum(least[:count], run, out=least[:count])
     np.minimum.reduce(least, axis=0, out=either[0])
-    np.equal(either[0], 0, out=found)
+    return np.equal(either[0], 0, out=found)
 
 
 ALL_ROWS = ~np.uint64(0)  # a plane word with every row's bit set

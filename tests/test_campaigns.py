@@ -433,7 +433,7 @@ GOLDEN_REPORTS = {
         "aa1d7b27392d2cfa25b0c5be532532b36a980d4f8a6e0359543ae0231de358f3"),
     # check_failures["t3"] pins the T_3 counts: 99,087 of 100,000 rows at
     # n=9 and all 40,000 at n=12; the T_3 mask takes a full batch of either
-    # order in more than one chunk of one-hot bytes
+    # order in one pass
     "screen sampled n=9": (
         lambda: screen_and_audit(EnumerationSpec(n=9, mode="sampled", samples=100000, seed=11)),
         "2a8a31d73d19e9ac365d805bcbb5557828ea725ebef34156aec49ce2f69e2fa6"),

@@ -27,7 +27,7 @@ def test_every_trace_target_is_a_monodom_function():
 
 def test_any_reach_calls_decode_and_closure_as_traced_layers():
     """any_reach looks decode_rows and closure_rows up as module globals, so
-    their spans nest under its span: one of each per chunk."""
+    their spans nest under its span: one of each per call."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     codes = np.zeros((70, 15), dtype=np.uint8)
