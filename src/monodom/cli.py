@@ -28,7 +28,6 @@ from .core import (
 from .domination import (
     dominated_by_all,
     dominating_vertices,
-    domination_relation,
     find_rainbow_triangle,
     min_cover,
 )
@@ -146,9 +145,8 @@ def _triangle_line(tri, cyclic: bool) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     t = _read_instance(args.input)
     cyclic = args.cyclic == "on"
-    rel = domination_relation(t)
-    doms = dominating_vertices(t, rel)
-    dby = dominated_by_all(t, rel)
+    doms = dominating_vertices(t)
+    dby = dominated_by_all(t)
     tri = find_rainbow_triangle(t, require_cyclic=cyclic)
     if args.format == "json":
         findings = [

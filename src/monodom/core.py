@@ -75,10 +75,13 @@ class ColouredTournament:
 
     Vertices are dense indices 0..n-1.  The internal matrix stores, for each
     ordered pair (i, j), the arc colour if the arc i -> j exists and None
-    otherwise.  Instances are safe to share between threads.
+    otherwise.  Instances are safe to share between threads.  The one
+    mutable slot memoizes the domination relation on first use (see
+    domination.domination_relation); every constructor and transform starts
+    it empty, and a race at worst computes the relation twice.
     """
 
-    __slots__ = ("n", "_matrix")
+    __slots__ = ("n", "_matrix", "_relation")
 
     def __init__(self, n: int, matrix: Sequence[Sequence[Colour | None]]):
         if n < 1:
@@ -97,6 +100,7 @@ class ColouredTournament:
     def _store(self, n: int, matrix: Sequence[Sequence[Colour | None]]) -> None:
         self.n = n
         self._matrix = tuple(tuple(row) for row in matrix)
+        self._relation = None  # the memo domination.domination_relation fills
 
     def _validate(self) -> None:
         m = self._matrix
@@ -299,9 +303,13 @@ def serialize(t: ColouredTournament) -> str:
 # -- shared report plumbing -------------------------------------------------
 
 
+# json.dumps would build this encoder anew on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: object) -> str:
     """Stable compact JSON used by every report surface."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def report_dict(t: ColouredTournament, findings: list[dict]) -> dict:

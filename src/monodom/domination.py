@@ -45,13 +45,19 @@ class DominationRelation:
 
 
 def domination_relation(t: ColouredTournament) -> DominationRelation:
-    """Exact per-colour reachability closure for t.
+    """Exact per-colour reachability closure for t, computed once per
+    tournament: the first call stores it on t and later calls return it, so
+    every engine call on t shares one relation.  A race between threads at
+    worst computes it twice.  A relation passed to a function's rel=
+    parameter is used for that call only and never stored.
 
     Warshall's step k ORs row k's lane c into each lane (x, c) that holds
     bit k: (m >> k & lanes) * fill spreads that bit over its lane, and
     (m >> k*3n & row_mask) * rep copies row k into every row.  Neither
     product carries across lanes.
     """
+    if t._relation is not None:
+        return t._relation
     n = t.n
     width = 3 * n
     m = 0
@@ -67,7 +73,8 @@ def domination_relation(t: ColouredTournament) -> DominationRelation:
     for k in range(n):
         m |= (m >> k & lanes) * fill & (m >> k * width & row_mask) * rep
     rows = tuple(tuple(m >> (x * width + c * n) & fill for x in range(n)) for c in COLOURS)
-    return DominationRelation(n, rows)
+    t._relation = DominationRelation(n, rows)
+    return t._relation
 
 
 def dominates(

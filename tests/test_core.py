@@ -1,5 +1,6 @@
 """Instance model, file format and transforms."""
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from monodom.core import (
     serialize,
     slot_index,
 )
+from monodom.domination import domination_relation
 
 T3_TEXT = "3\n.r.\n..b\ng..\n"
 
@@ -100,6 +102,8 @@ def test_serialize_round_trip_seeded():
         n = rng.randrange(1, 9)
         t = random_instance(rng, n)
         u = parse(serialize(t))
+        if n % 2:  # equality and hash ignore the memoized relation
+            domination_relation(t)
         assert u == t and hash(u) == hash(t)
 
 
@@ -184,4 +188,21 @@ def test_relabel_permutes_consistently_seeded():
 
 
 def test_canonical_json_stable():
+    for obj in [
+        {"b": 1, "a": [2, {"d": None}]},
+        {"name": "bl\u00e5 \u2192 gr\u00f8n \U0001d4af", "quote": '"\\\n'},
+        [1.5, -0.0, 1e-07, 3.0e20, 0.1 + 0.2],
+        {"t": True, "f": False, "none": None},
+        {"outer": [[1, [2, {"z": [], "y": {}}]], {"b": {"d": 4, "c": [None]}}]},
+        {10: "ten", 2: "two", -1: "minus one"},
+        "plain",
+        [],
+    ]:
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert canonical_json({"b": 1, "a": [2, {"d": None}]}) == '{"a":[2,{"d":null}],"b":1}'
+    # keys sort as given and become strings afterwards, so 2 precedes 10,
+    # and keys of mixed types do not sort at all, as with json.dumps
+    assert canonical_json({10: 0, 2: 1}) == '{"2":1,"10":0}'
+    with pytest.raises(TypeError):
+        canonical_json({"2": 0, 1: 1})
+    assert canonical_json("\u00e9") == '"\\u00e9"'

@@ -5,8 +5,11 @@ from itertools import combinations, product
 
 import pytest
 
-from monodom.core import COLOURS, Colour, ColouredTournament, parse
+from monodom import domination
+from monodom.auditor import audit, genhamilton_check
+from monodom.core import COLOURS, Colour, ColouredTournament, canonical_json, parse, serialize
 from monodom.domination import (
+    DominationRelation,
     at_most_two_everywhere,
     dominated_by_all,
     dominates,
@@ -23,6 +26,11 @@ T3 = parse("3\n.r.\n..b\ng..\n")
 def random_instance(rng, n, colours=3):
     codes = [rng.randrange(2 * colours) for _ in range(n * (n - 1) // 2)]
     return ColouredTournament.from_codes(n, codes, colours)
+
+
+def fresh_rows(t):
+    # the relation of a copy built anew, whose memo is empty
+    return domination_relation(ColouredTournament.from_codes(t.n, t.to_codes())).rows
 
 
 def bfs_reaches(t, colour, src):
@@ -114,16 +122,76 @@ def test_relation_with_every_arc_red(n, strong):
 
 
 def test_reversal_duality_seeded():
-    # x dominates y in t iff y dominates x in the reversed tournament
+    # x dominates y in t iff y dominates x in the reversed tournament; t's
+    # relation is memoized before reversing, which r must not inherit
     rng = random.Random(31337)
     for _ in range(60):
         n = rng.randrange(2, 7)
         t = random_instance(rng, n)
+        domination_relation(t)
         r = t.reverse()
         for x in range(n):
             for y in range(n):
                 if x != y:
                     assert dominates(t, x, y) == dominates(r, y, x)
+
+
+def test_one_closure_per_tournament(monkeypatch):
+    built = []
+
+    def counting(n, rows):
+        built.append(n)
+        return DominationRelation(n, rows)
+
+    monkeypatch.setattr(domination, "DominationRelation", counting)
+    rng = random.Random(4242)
+    for _ in range(200):
+        t = random_instance(rng, rng.randrange(1, 10), rng.choice((2, 3)))
+        built.clear()
+        report = audit(t)
+        canonical_json(report.to_dict())
+        min_cover(t)
+        dominating_vertices(t)
+        dominated_by_all(t)
+        genhamilton_check(t)
+        assert not report.finding("genhamilton").holds  # deep audits close subtournaments
+        assert built == [t.n]
+
+
+@pytest.mark.parametrize("memo_first", [False, True])
+def test_passed_relation_is_not_memoized(memo_first):
+    # vertex 0 dominates everything in this relation, though T_3 has no
+    # dominating vertex: the cover must come from the relation passed in,
+    # and T_3's own relation must stay what a fresh closure gives
+    t = parse(serialize(T3))
+    if memo_first:
+        domination_relation(t)
+    synthetic = DominationRelation(3, ((0b110, 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert min_cover(t, k_max=1, rel=synthetic).members == (0,)
+    assert domination_relation(t).rows == fresh_rows(t)
+    assert min_cover(t).members == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda t: t.reverse(),
+        lambda t: t.swap_colours({Colour.RED: Colour.GREEN, Colour.GREEN: Colour.BLUE,
+                                  Colour.BLUE: Colour.RED}),
+        lambda t: t.relabel(list(range(t.n))[::-1]),
+        lambda t: t.induced(range(1, t.n))[0],
+        lambda t: parse(serialize(t)),
+    ],
+    ids=["reverse", "swap_colours", "relabel", "induced", "parse"],
+)
+def test_derived_tournaments_start_without_the_memo(derive):
+    rng = random.Random(77)
+    for _ in range(40):
+        t = random_instance(rng, rng.randrange(2, 9))
+        domination_relation(t)
+        d = derive(t)
+        assert d._relation is None
+        assert domination_relation(d).rows == fresh_rows(d)
 
 
 def test_min_cover_t3():
