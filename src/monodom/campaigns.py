@@ -15,16 +15,21 @@ colours.  Batches hold BATCH_ROWS = 2^15 rows, so a batch's codes, index
 arithmetic and reach planes stay in a core's L2 cache.  The scan passes one
 kernel.Workspace to every kernel call: batch-sized arrays allocated afresh
 cost a page fault per page on every batch, while the workspace's buffers
-fault in once, in the first batch, and a sampled scan draws each Philox
-block into it once.  Expected violator counts are zero throughout, so
-violator storage is capped (the count is exact).
+fault in once, in the first batch.  A sampled scan draws each Philox block
+it reads once, on the process's one helper thread (kernel.draw_thread):
+while the scan evaluates the batches of one block, the helper draws the
+next block the shard has a row in, and the scan drops a block when its
+batches move on to the next, so at most two blocks are alive.  A scan
+that raises waits for the draw it submitted ahead, so no draw outlives
+its scan.  Expected violator counts are zero throughout, so violator
+storage is capped (the count is exact).
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -141,7 +146,8 @@ class _Scan:
     capped violator recording, lowest-index witnesses, progress and timing,
     and the kernel workspace (`ws`, made per run) whose buffers every
     kernel call of the scan reuses, so that batches after the first take
-    no fresh pages; it also holds the sample block a sampled scan is in.
+    no fresh pages; in a sampled scan it also holds the block the scan is
+    in and draws the next one on the process's helper thread.
     An evaluator sees only the examined rows of a batch and names them by
     row number within that array, and passes `ws` to its kernel calls.
     """
@@ -168,22 +174,26 @@ class _Scan:
         total = spec.shard_size()
         self.ws = ws = kernel.Workspace(total)
         next_mark = self.progress
-        for start in range(0, total, BATCH_ROWS):
-            size = min(BATCH_ROWS, total - start)
-            codes = kernel.batch_codes(spec, start, size, ws)
-            self.counts["enumerated"] += size
-            rows = None
-            if spec.filter == "two-colour-vertices":
-                rows = np.flatnonzero(
-                    kernel.two_colour_vertices_mask(codes, spec.n, spec.colours, ws))
-                codes = kernel.take_rows(codes, rows, ws)
-            self.counts["examined"] += len(codes)
-            self._start, self._rows, self._codes = start, rows, codes
-            evaluate(self, codes)
-            done = start + size
-            if self.progress and done >= next_mark:
-                print(f"shard {k}/{m}: {done} of {total}", file=sys.stderr)
-                next_mark = (done // self.progress + 1) * self.progress
+        try:
+            for start in range(0, total, BATCH_ROWS):
+                size = min(BATCH_ROWS, total - start)
+                codes = kernel.batch_codes(spec, start, size, ws)
+                self.counts["enumerated"] += size
+                rows = None
+                if spec.filter == "two-colour-vertices":
+                    rows = np.flatnonzero(
+                        kernel.two_colour_vertices_mask(codes, spec.n, spec.colours, ws))
+                    codes = kernel.take_rows(codes, rows, ws)
+                self.counts["examined"] += len(codes)
+                self._start, self._rows, self._codes = start, rows, codes
+                evaluate(self, codes)
+                done = start + size
+                if self.progress and done >= next_mark:
+                    print(f"shard {k}/{m}: {done} of {total}", file=sys.stderr)
+                    next_mark = (done // self.progress + 1) * self.progress
+        finally:
+            if ws.ahead is not None:  # a scan that raised: its next draw is still out
+                wait([ws.ahead[1]])
         return CampaignResult(
             spec, self.counts, self.violators, self.extremal, self.check_failures,
             elapsed=time.time() - t0,

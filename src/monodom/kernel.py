@@ -4,7 +4,8 @@ Campaigns stream instances as uint8 code arrays of shape (batch, pairs),
 stored slot-major, and evaluate whole batches at once.  Exhaustive codes
 split each index once per run of five free slots and gather the run's
 digits from a read-only table; sampled batches slice the Philox blocks
-they touch, and a scan draws each block once.  The T_3 screen and the
+they touch.  A scan draws each block once, on the process's draw thread,
+one block ahead of the batches it evaluates.  The T_3 screen and the
 vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
 the one-hot byte 1 << x, and the T_3 screen tests every triple i < j < k of
 one pair (i, j) for a cyclic rainbow triangle with a few byte operations
@@ -37,6 +38,8 @@ and serves as the cross-check oracle.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -51,9 +54,50 @@ DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
 WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
 
 
+_draw_thread: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor)
+
+
+def draw_thread() -> ThreadPoolExecutor:
+    """The one thread this process draws sample blocks on.
+
+    It starts with the process's first draw and serves every later one;
+    between scans it waits idle, for the life of the process.  A forked
+    child inherits the parent's executor but not its thread, so a draw
+    submitted there would never run: a process whose pid differs from the
+    one that started the thread starts its own.  A process that forks after
+    a draw (run_parallel after a sampled scan in the same process, say)
+    forks with this idle thread alive, which Python 3.12 and later warn of
+    with a DeprecationWarning; no draw is running then, since a scan waits
+    for its last one to finish.
+    """
+    global _draw_thread
+    if _draw_thread is None or _draw_thread[0] != os.getpid():
+        _draw_thread = (os.getpid(), ThreadPoolExecutor(1))
+    return _draw_thread[1]
+
+
+def _rows_through(spec: EnumerationSpec, block: int, stop: int) -> int:
+    """Rows of sample block `block` through the last row of the spec's
+    shard positions [0, stop) in it."""
+    k, m = spec.shard
+    top = min(k + (stop - 1) * m, (block + 1) * SAMPLE_BLOCK_ROWS - 1)
+    top -= (top - k) % m
+    return top - block * SAMPLE_BLOCK_ROWS + 1
+
+
+def _next_block(spec: EnumerationSpec, block: int, stop: int) -> int | None:
+    """The first block past `block` holding a row of the spec's shard
+    positions [0, stop), or None.  With a shard modulus above
+    SAMPLE_BLOCK_ROWS it need not be block + 1."""
+    k, m = spec.shard
+    first = (block + 1) * SAMPLE_BLOCK_ROWS
+    index = first + (k - first) % m  # the shard's first row from there on
+    return index // SAMPLE_BLOCK_ROWS if index < k + stop * m else None
+
+
 class Workspace:
-    """Scratch memory one scan reuses for every batch, and the sample block
-    it is in.
+    """Scratch memory one scan reuses for every batch, and the sample blocks
+    it draws.
 
     `buffer(name, shape, dtype, most)` hands out a contiguous view at the
     start of a grow-only flat byte buffer; the shape's last axis counts
@@ -70,9 +114,13 @@ class Workspace:
     read the Reach.
 
     A sampled scan covering shard positions [0, stop) draws each block it
-    touches once, through the last row the whole scan needs from it, and
-    keeps it until a batch asks for another block.  One workspace serves
-    one scan; nothing is shared between scans.
+    touches once, through the last row the whole scan needs from it.  Every
+    draw is submitted to the process's draw_thread and its result taken
+    when the block is needed, so the helper draws the next block while the
+    scan evaluates the current one.  At most two blocks are alive: the one
+    the scan is in, copied into the "sample_block" buffer, and the one
+    being drawn (`ahead`).  One workspace serves one scan; nothing but the
+    draw thread is shared between scans.
     """
 
     def __init__(self, stop: int = 0):
@@ -80,7 +128,8 @@ class Workspace:
         self.rows = 0  # rows of the largest batch so far
         self.buffers: dict[str, np.ndarray] = {}
         self.block: tuple | None = None  # (spec, block) of the held digits
-        self.digits: np.ndarray | None = None
+        self.digits: np.ndarray | None = None  # a view of the "sample_block" buffer
+        self.ahead: tuple | None = None  # ((spec, block, stop), future) of the next draw
         self._ramp = np.arange(0, dtype=np.uint64)
 
     def buffer(
@@ -114,16 +163,42 @@ class Workspace:
 
     def sample_block(self, spec: EnumerationSpec, block: int, stop: int) -> np.ndarray:
         """Digits of sample block `block`, drawn through the last row of
-        shard positions [0, max(stop, self.stop)) in it."""
-        k, m = spec.shard
-        top = min(k + (max(stop, self.stop) - 1) * m, (block + 1) * SAMPLE_BLOCK_ROWS - 1)
-        top -= (top - k) % m  # the scan's last row in this block
-        rows = top - block * SAMPLE_BLOCK_ROWS + 1
-        if self.block != (spec, block) or len(self.digits) < rows:
-            self.digits = None  # drop the previous block before drawing the next
-            self.digits = sample_block(spec, block, rows)
+        shard positions [0, max(stop, self.stop)) in it.
+
+        The block is taken from the draw submitted ahead of it, or else
+        from one submitted now, and copied into the "sample_block" buffer
+        over the previous block.  Then the draw of the next block holding
+        one of those positions is submitted, so one block is drawn ahead
+        and none that the positions skip.
+
+        The copy frees each drawn array before the next draw allocates
+        one, so the helper's heap holds one block at a time and every draw
+        reuses the same memory.  Kept alive until the next block was
+        taken, two drawn arrays took turns in that heap, and a small
+        allocation of the helper could split the hole one left; from then
+        on every block needed fresh memory, and peak RSS rose by a further
+        block in most 28-second runs of the sampled-n9 benchmark.
+        """
+        stop = max(stop, self.stop)
+        if self.block != (spec, block) or len(self.digits) < _rows_through(spec, block, stop):
+            self.block = self.digits = None
+            key, future = self.ahead or (None, None)
+            self.ahead = None
+            if key != (spec, block, stop):
+                future = self._draw(spec, block, stop)
+            drawn = future.result()
+            flat = self.buffer("sample_block", (drawn.size,), np.uint8, drawn.size)
+            self.digits = flat.reshape(drawn.shape)
+            np.copyto(self.digits, drawn)
+            del drawn, future  # the drawn array dies before the next draw allocates one
             self.block = (spec, block)
+            following = _next_block(spec, block, stop)
+            if following is not None:
+                self.ahead = (spec, following, stop), self._draw(spec, following, stop)
         return self.digits
+
+    def _draw(self, spec: EnumerationSpec, block: int, stop: int) -> Future:
+        return draw_thread().submit(sample_block, spec, block, _rows_through(spec, block, stop))
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +227,9 @@ def batch_codes(
     of one base and gathers the run's digits from a read-only digit table
     of base**width entries.  In sampled mode the rows of shard k of m
     inside one sample block are every m-th row of it; the scan's workspace
-    draws each block once.  Without one the call draws each block it
-    touches through the last row it needs.
+    draws each block once, one block ahead on the draw thread.  Without
+    one the call draws each block it touches, through the last row it
+    needs, in the same way.
     """
     ws = ws or Workspace()
     ws.rows = max(ws.rows, size)
@@ -172,8 +248,10 @@ def batch_codes(
         while r < size:
             block, first = divmod(index, SAMPLE_BLOCK_ROWS)
             count = min(size - r, (SAMPLE_BLOCK_ROWS - 1 - first) // m + 1)
-            digits = ws.sample_block(spec, block, start + size)
-            out[slots, r : r + count] = digits[first : first + (count - 1) * m + 1 : m].T
+            # no view of a block outlives its copy, so that a "sample_block"
+            # buffer that grows for the next block frees the old one
+            out[slots, r : r + count] = ws.sample_block(spec, block, start + size)[
+                first : first + (count - 1) * m + 1 : m].T
             r += count
             index += count * m
         return out.T

@@ -1,6 +1,9 @@
 """Campaign counts, merge exactness, sampled determinism, parallel runs."""
 
 import hashlib
+import multiprocessing
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -334,12 +337,23 @@ def test_reports_do_not_depend_on_batch_size(monkeypatch, name):
         assert run().to_json() == whole, batch_rows
 
 
-@pytest.mark.parametrize("shard", [(5, 997), (2, 61)])
+DRAWN_SHARDS = {  # shard -> samples, none of them a multiple of a block
+    (5, 997): 2 * SAMPLE_BLOCK_ROWS + 100,
+    (2, 61): 2 * SAMPLE_BLOCK_ROWS + 100,
+    (0, 1): 3 * SAMPLE_BLOCK_ROWS + 1234,
+    (1, 3): 3 * SAMPLE_BLOCK_ROWS + 1234,
+    (5, 150_000): 300_000,  # rows 5 and 150005: block 1 holds none
+}
+
+
+@pytest.mark.parametrize("shard", list(DRAWN_SHARDS))
 def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
     """A scan draws every sample block it touches once, through the last
-    row the whole scan needs from it, whatever the batch size."""
+    row the whole scan needs from it, whatever the batch size, and no
+    other block: drawing one block ahead skips the blocks a large modulus
+    steps over and stops at the last."""
     k, m = shard
-    samples = 2 * SAMPLE_BLOCK_ROWS + 100
+    samples = DRAWN_SHARDS[shard]
     spec = EnumerationSpec(n=3, mode="sampled", samples=samples, seed=6, shard=shard)
     needed = {}  # block -> rows through the scan's last index in it
     for index in range(k, samples, m):
@@ -354,16 +368,88 @@ def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
 
     monkeypatch.setattr(enumeration, "philox_digits", counting)
     reports = set()
-    for batch_rows in (1, 7, 1000, BATCH_ROWS):
+    small = spec.shard_size() < 10_000  # batches of 1 and 7 rows only where they are few
+    for batch_rows in (1, 7, 1000, BATCH_ROWS) if small else (1000, BATCH_ROWS):
         draws.clear()
         monkeypatch.setattr(campaigns, "BATCH_ROWS", batch_rows)
         reports.add(verify_conjecture(spec).to_json())
+        kernel.draw_thread().submit(int).result()  # every draw submitted so far has run
         assert draws == sorted(needed.items()), batch_rows
     assert len(reports) == 1
     # a second scan of the same spec draws again
     draws.clear()
     verify_conjecture(spec)
     assert draws == sorted(needed.items())
+
+
+SPANNING = EnumerationSpec(n=3, mode="sampled", samples=3 * SAMPLE_BLOCK_ROWS, seed=2)
+
+
+def test_failed_draw_raises_from_the_scan(monkeypatch):
+    real = kernel.sample_block
+
+    def failing(spec, block, rows):
+        if block == 1:
+            raise RuntimeError("draw failed")
+        return real(spec, block, rows)
+
+    monkeypatch.setattr(kernel, "sample_block", failing)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        verify_conjecture(SPANNING)
+
+
+def test_failed_scan_leaves_the_draw_thread_reusable(monkeypatch):
+    """An evaluator that raises while the next block is being drawn starts
+    no thread and returns only when that draw is done, and the next
+    sampled scan runs on the same draw thread."""
+    whole = verify_conjecture(SPANNING).to_json()  # the draw thread runs from here
+    threads = threading.active_count()
+    real_draw, drawing = kernel.sample_block, []
+
+    def slow(spec, block, rows):
+        drawing.append(block)
+        time.sleep(0.2)  # still drawing block 1 when the second batch fails
+        digits = real_draw(spec, block, rows)
+        drawing.remove(block)
+        return digits
+
+    real_mask, calls = kernel.rainbow_triangle_mask, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("evaluator failed")
+        return real_mask(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "sample_block", slow)
+    monkeypatch.setattr(kernel, "rainbow_triangle_mask", failing)
+    with pytest.raises(RuntimeError, match="evaluator failed"):
+        verify_conjecture(SPANNING)
+    assert drawing == []  # no draw outlives its scan
+    monkeypatch.undo()
+    assert verify_conjecture(SPANNING).to_json() == whole
+    assert threading.active_count() == threads
+
+
+def _send_report(conn, spec):
+    conn.send(verify_conjecture(spec).to_json())
+
+
+def test_forked_child_draws_on_its_own_thread():
+    """A forked child inherits the parent's draw executor but not its
+    thread; its sampled scan must start a thread of its own, not wait on
+    one that never runs."""
+    whole = verify_conjecture(SPANNING).to_json()  # the parent's draw thread runs
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_report, args=(send, SPANNING))
+    child.start()
+    try:
+        assert receive.poll(60), "the child's sampled scan did not finish"
+        assert receive.recv() == whole
+    finally:
+        child.kill()
+        child.join()
 
 
 STEADY_SCANS = {
