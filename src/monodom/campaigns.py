@@ -16,20 +16,20 @@ arithmetic and reach planes stay in a core's L2 cache.  The scan passes one
 kernel.Workspace to every kernel call: batch-sized arrays allocated afresh
 cost a page fault per page on every batch, while the workspace's buffers
 fault in once, in the first batch.  A sampled scan draws each Philox block
-it reads once, on the process's one helper thread (kernel.draw_thread):
-while the scan evaluates the batches of one block, the helper draws the
-next block the shard has a row in, and the scan drops a block when its
-batches move on to the next, so at most two blocks are alive.  A scan
-that raises waits for the draw it submitted ahead, so no draw outlives
-its scan.  Expected violator counts are zero throughout, so violator
-storage is capped (the count is exact).
+it reads once, on a helper thread that the scan starts and joins: while
+the scan evaluates the batches of one block, the helper draws the next
+block the scan has a row in, so at most two blocks are alive.  A scan
+covers a range of shard positions, the whole shard by default, and
+run_parallel gives each worker one contiguous range.  Expected violator
+counts are zero throughout, so violator storage is capped (the count is
+exact).
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -38,7 +38,7 @@ import numpy as np
 
 from .auditor import audit
 from .core import ColouredTournament, canonical_json, serialize
-from .enumeration import EnumerationSpec
+from .enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec
 from . import kernel
 
 BATCH_ROWS = 1 << 15
@@ -138,8 +138,8 @@ def merge_results(
 
 
 class _Scan:
-    """One walk over a spec's shard, feeding each batch to a campaign's
-    per-batch evaluator.
+    """One walk over a spec's shard positions `positions` (by default all),
+    feeding each batch to a campaign's per-batch evaluator.
 
     The scan owns everything campaigns share: batch codes, the vertex
     filter, the enumerated/examined counts, mapping rows to global indices,
@@ -147,14 +147,15 @@ class _Scan:
     and the kernel workspace (`ws`, made per run) whose buffers every
     kernel call of the scan reuses, so that batches after the first take
     no fresh pages; in a sampled scan it also holds the block the scan is
-    in and draws the next one on the process's helper thread.
+    in and draws the next one on the scan's helper thread.
     An evaluator sees only the examined rows of a batch and names them by
     row number within that array, and passes `ws` to its kernel calls.
     """
 
-    def __init__(self, spec: EnumerationSpec, progress: int):
+    def __init__(self, spec: EnumerationSpec, progress: int, positions: range | None):
         self.spec = spec
         self.progress = progress
+        self.positions = positions
         self.counts = {"enumerated": 0, "examined": 0, "violations": 0}
         self.violators: list[dict] = []
         self.extremal: dict = {}
@@ -171,12 +172,14 @@ class _Scan:
         spec = self.spec
         t0 = time.time()
         k, m = spec.shard
-        total = spec.shard_size()
-        self.ws = ws = kernel.Workspace(total)
+        lo, hi = (0, spec.shard_size()) if self.positions is None else (
+            self.positions.start, self.positions.stop)
+        label = f"shard {k}/{m}" if self.positions is None else f"shard {k}/{m} [{lo}, {hi})"
         next_mark = self.progress
-        try:
-            for start in range(0, total, BATCH_ROWS):
-                size = min(BATCH_ROWS, total - start)
+        with ThreadPoolExecutor(1) as pool:  # leaving waits for any draw ahead, joins the thread
+            self.ws = ws = kernel.Workspace(hi, pool)
+            for start in range(lo, hi, BATCH_ROWS):
+                size = min(BATCH_ROWS, hi - start)
                 codes = kernel.batch_codes(spec, start, size, ws)
                 self.counts["enumerated"] += size
                 rows = None
@@ -187,13 +190,10 @@ class _Scan:
                 self.counts["examined"] += len(codes)
                 self._start, self._rows, self._codes = start, rows, codes
                 evaluate(self, codes)
-                done = start + size
+                done = start + size - lo
                 if self.progress and done >= next_mark:
-                    print(f"shard {k}/{m}: {done} of {total}", file=sys.stderr)
+                    print(f"{label}: {done} of {hi - lo}", file=sys.stderr)
                     next_mark = (done // self.progress + 1) * self.progress
-        finally:
-            if ws.ahead is not None:  # a scan that raised: its next draw is still out
-                wait([ws.ahead[1]])
         return CampaignResult(
             spec, self.counts, self.violators, self.extremal, self.check_failures,
             elapsed=time.time() - t0,
@@ -230,7 +230,8 @@ class _Scan:
 # -- campaigns ---------------------------------------------------------------------
 
 
-def verify_conjecture(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
+def verify_conjecture(spec: EnumerationSpec, progress: int = 0,
+                      positions: range | None = None) -> CampaignResult:
     """Check every instance for a T_3 (a cyclic rainbow triangle) or a
     dominating vertex; instances with neither are collected as violators.
     With two colours no triangle is rainbow: this is the Sands-Sauer-Woodrow
@@ -248,11 +249,11 @@ def verify_conjecture(spec: EnumerationSpec, progress: int = 0) -> CampaignResul
             miss = np.flatnonzero(~kernel.dominating_vertex_mask(reach, spec.n, ws))
             scan.record(miss if bad is None else bad[miss])
 
-    return _Scan(spec, progress).run(evaluate)
+    return _Scan(spec, progress, positions).run(evaluate)
 
 
 def estimate_f(
-    spec: EnumerationSpec, k_max: int = 4, progress: int = 0
+    spec: EnumerationSpec, k_max: int = 4, progress: int = 0, positions: range | None = None
 ) -> CampaignResult:
     """Maximum minimum-cover order over the enumerated instances.
 
@@ -274,7 +275,7 @@ def estimate_f(
         if len(uncovered):
             scan.witness("min_cover", "uncovered", uncovered[0])
 
-    scan = _Scan(spec, progress)
+    scan = _Scan(spec, progress, positions)
     scan.counts["uncovered"] = 0
     scan.extremal["min_cover"] = {}
     return scan.run(evaluate)
@@ -293,7 +294,8 @@ def search_pattern(order: int, pattern: tuple, shard: tuple[int, int] = (0, 1)) 
     return screen_and_audit(EnumerationSpec(n=order, pattern=pattern, shard=shard))
 
 
-def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult:
+def screen_and_audit(spec: EnumerationSpec, progress: int = 0,
+                     positions: range | None = None) -> CampaignResult:
     """The search screen over any spec: rows with a qualifying cycle, no
     cyclic rainbow triangle and no dominating vertex are weak violators,
     and each gets the full audit; all-conditions-pass audits are alarms."""
@@ -322,7 +324,7 @@ def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult
                     index = scan.index(row)
                     alarms[str(index)] = {"index": index, "report": report.to_dict()}
 
-    scan = _Scan(spec, progress)
+    scan = _Scan(spec, progress, positions)
     scan.counts["alarms"] = 0
     scan.check_failures.update(t3=0, dominating_vertex=0, genhamilton=0)
     return scan.run(evaluate)
@@ -331,26 +333,41 @@ def screen_and_audit(spec: EnumerationSpec, progress: int = 0) -> CampaignResult
 # -- parallel driver -----------------------------------------------------------------
 
 
+def _block_start(spec: EnumerationSpec, position: int) -> int:
+    """The first shard position from `position` > 0 on that is its block's first."""
+    k, m = spec.shard
+    block = (k + (position - 1) * m) // SAMPLE_BLOCK_ROWS  # the previous position's
+    return -(-((block + 1) * SAMPLE_BLOCK_ROWS - k) // m)
+
+
+def _run_range(campaign, spec, kwargs, positions):
+    return campaign(spec, positions=positions, **kwargs)
+
+
 def run_parallel(
     campaign: Callable[..., CampaignResult],
     spec: EnumerationSpec,
     workers: int = 1,
     **kwargs,
 ) -> CampaignResult:
-    """Run campaign(spec, **kwargs) over `workers` disjoint sub-shards and
-    merge.  The campaign must be a module-level function, so that it pickles.
+    """Run campaign(spec, positions=..., **kwargs) on up to `workers`
+    contiguous ranges of shard positions, one process each, and merge.
+    The campaign must be a module-level function, so that it pickles.
 
-    Sub-shard j of the spec's shard (k, m) is (k + j*m, m*workers); their
-    union is exactly the original shard, so the merged result equals the
-    single-process run.  No more workers start than the shard has rows.
-    The merged result's elapsed is the wall time of the pool run.
+    The cuts split the shard evenly; sampled cuts move up to the first
+    position of a sample block, so each block is drawn once in all, and
+    empty ranges are dropped.  The ranges cover the shard, so the merge
+    equals the one-process run.  Its elapsed is the pool's wall time.
     """
-    workers = min(workers, spec.shard_size())
-    if workers <= 1:
+    total = spec.shard_size()
+    workers = max(1, min(workers, total))
+    cuts = [total * j // workers for j in range(workers + 1)]
+    if spec.mode == "sampled":
+        cuts[1:-1] = [min(_block_start(spec, cut), total) for cut in cuts[1:-1]]
+    ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if len(ranges) <= 1:
         return campaign(spec, **kwargs)
-    k, m = spec.shard
-    subs = [replace(spec, shard=(k + j * m, m * workers)) for j in range(workers)]
     t0 = time.time()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(campaign, **kwargs), subs))
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        parts = list(pool.map(partial(_run_range, campaign, spec, kwargs), ranges))
     return replace(merge_results(parts, spec=spec), elapsed=time.time() - t0)

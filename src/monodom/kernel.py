@@ -4,8 +4,8 @@ Campaigns stream instances as uint8 code arrays of shape (batch, pairs),
 stored slot-major, and evaluate whole batches at once.  Exhaustive codes
 split each index once per run of five free slots and gather the run's
 digits from a read-only table; sampled batches slice the Philox blocks
-they touch.  A scan draws each block once, on the process's draw thread,
-one block ahead of the batches it evaluates.  The T_3 screen and the
+they touch.  A scan draws each block once, on its own helper thread, one
+block ahead of the batches it evaluates.  The T_3 screen and the
 vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
 the one-hot byte 1 << x, and the T_3 screen tests every triple i < j < k of
 one pair (i, j) for a cyclic rainbow triangle with a few byte operations
@@ -38,7 +38,6 @@ and serves as the cross-check oracle.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
@@ -52,28 +51,6 @@ from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_b
 
 DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
 WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
-
-
-_draw_thread: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor)
-
-
-def draw_thread() -> ThreadPoolExecutor:
-    """The one thread this process draws sample blocks on.
-
-    It starts with the process's first draw and serves every later one;
-    between scans it waits idle, for the life of the process.  A forked
-    child inherits the parent's executor but not its thread, so a draw
-    submitted there would never run: a process whose pid differs from the
-    one that started the thread starts its own.  A process that forks after
-    a draw (run_parallel after a sampled scan in the same process, say)
-    forks with this idle thread alive, which Python 3.12 and later warn of
-    with a DeprecationWarning; no draw is running then, since a scan waits
-    for its last one to finish.
-    """
-    global _draw_thread
-    if _draw_thread is None or _draw_thread[0] != os.getpid():
-        _draw_thread = (os.getpid(), ThreadPoolExecutor(1))
-    return _draw_thread[1]
 
 
 def _rows_through(spec: EnumerationSpec, block: int, stop: int) -> int:
@@ -113,18 +90,19 @@ class Workspace:
     "any_reach": a scan may call it between any_reach and the masks that
     read the Reach.
 
-    A sampled scan covering shard positions [0, stop) draws each block it
-    touches once, through the last row the whole scan needs from it.  Every
-    draw is submitted to the process's draw_thread and its result taken
-    when the block is needed, so the helper draws the next block while the
-    scan evaluates the current one.  At most two blocks are alive: the one
-    the scan is in, copied into the "sample_block" buffer, and the one
-    being drawn (`ahead`).  One workspace serves one scan; nothing but the
-    draw thread is shared between scans.
+    A sampled scan reading shard positions below `stop` draws each block
+    it touches once, through the last row the scan needs from it.  Every
+    draw goes to the scan's one-thread `pool` and its result is taken when
+    the block is needed, so the helper draws the next block while the scan
+    evaluates the current one.  At most two blocks are alive: the one the
+    scan is in, copied into the "sample_block" buffer, and the one being
+    drawn (`ahead`).  Without a pool (direct batch_codes calls) draws run
+    in the caller.  One workspace serves one scan.
     """
 
-    def __init__(self, stop: int = 0):
-        self.stop = stop  # shard positions [0, stop) the scan reads
+    def __init__(self, stop: int = 0, pool: ThreadPoolExecutor | None = None):
+        self.stop = stop  # shard positions [0, stop) bound the scan's draws
+        self.pool = pool
         self.rows = 0  # rows of the largest batch so far
         self.buffers: dict[str, np.ndarray] = {}
         self.block: tuple | None = None  # (spec, block) of the held digits
@@ -198,7 +176,12 @@ class Workspace:
         return self.digits
 
     def _draw(self, spec: EnumerationSpec, block: int, stop: int) -> Future:
-        return draw_thread().submit(sample_block, spec, block, _rows_through(spec, block, stop))
+        args = spec, block, _rows_through(spec, block, stop)
+        if self.pool is not None:
+            return self.pool.submit(sample_block, *args)
+        drawn = Future()
+        drawn.set_result(sample_block(*args))
+        return drawn
 
 
 @lru_cache(maxsize=None)
@@ -227,9 +210,9 @@ def batch_codes(
     of one base and gathers the run's digits from a read-only digit table
     of base**width entries.  In sampled mode the rows of shard k of m
     inside one sample block are every m-th row of it; the scan's workspace
-    draws each block once, one block ahead on the draw thread.  Without
-    one the call draws each block it touches, through the last row it
-    needs, in the same way.
+    draws each block once, one block ahead on the scan's helper thread.
+    Without one the call draws each block it touches, through the last row
+    it needs, in the caller.
     """
     ws = ws or Workspace()
     ws.rows = max(ws.rows, size)

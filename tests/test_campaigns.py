@@ -2,9 +2,11 @@
 
 import hashlib
 import multiprocessing
+import sys
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from monodom.campaigns import (
 )
 from monodom.core import Colour, parse
 from monodom.domination import find_rainbow_triangle
-from monodom.enumeration import SAMPLE_BLOCK_ROWS, EnumerationSpec, enumerate_instances
+from monodom.enumeration import (
+    SAMPLE_BLOCK_ROWS,
+    EnumerationSpec,
+    enumerate_instances,
+    shard_indices,
+)
 
 RB = (Colour.RED, Colour.BLUE)
 RGB = (Colour.RED, Colour.GREEN, Colour.BLUE)
@@ -271,8 +278,8 @@ def test_run_parallel_starts_no_more_workers_than_rows(monkeypatch):
     assert sizes == [3]
 
 
-def _hundred_seconds(spec):
-    return replace(verify_conjecture(spec), elapsed=100.0)
+def _hundred_seconds(spec, positions=None):
+    return replace(verify_conjecture(spec, positions=positions), elapsed=100.0)
 
 
 def test_run_parallel_reports_wall_time(monkeypatch):
@@ -373,7 +380,6 @@ def test_sampled_scan_draws_each_block_once(monkeypatch, shard):
         draws.clear()
         monkeypatch.setattr(campaigns, "BATCH_ROWS", batch_rows)
         reports.add(verify_conjecture(spec).to_json())
-        kernel.draw_thread().submit(int).result()  # every draw submitted so far has run
         assert draws == sorted(needed.items()), batch_rows
     assert len(reports) == 1
     # a second scan of the same spec draws again
@@ -399,10 +405,10 @@ def test_failed_draw_raises_from_the_scan(monkeypatch):
 
 
 def test_failed_scan_leaves_the_draw_thread_reusable(monkeypatch):
-    """An evaluator that raises while the next block is being drawn starts
-    no thread and returns only when that draw is done, and the next
-    sampled scan runs on the same draw thread."""
-    whole = verify_conjecture(SPANNING).to_json()  # the draw thread runs from here
+    """An evaluator that raises while the next block is being drawn
+    returns only when that draw is done and its thread joined, and the
+    next sampled scan gives the same report."""
+    whole = verify_conjecture(SPANNING).to_json()
     threads = threading.active_count()
     real_draw, drawing = kernel.sample_block, []
 
@@ -431,15 +437,33 @@ def test_failed_scan_leaves_the_draw_thread_reusable(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_no_thread_outlives_a_scan(monkeypatch):
+    """A sampled scan joins its draw thread before it returns, also when its
+    evaluator raises, and a direct batch_codes call draws in the caller, so
+    run_parallel after a sampled scan forks with no helper thread alive."""
+    threads = threading.active_count()
+    verify_conjecture(SPANNING)
+    assert threading.active_count() == threads
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("evaluator failed")  # while block 1 is drawn ahead
+
+    monkeypatch.setattr(kernel, "rainbow_triangle_mask", failing)
+    with pytest.raises(RuntimeError, match="evaluator failed"):
+        verify_conjecture(SPANNING)
+    assert threading.active_count() == threads
+    kernel.batch_codes(SPANNING, SAMPLE_BLOCK_ROWS + 5, 1)
+    assert threading.active_count() == threads
+
+
 def _send_report(conn, spec):
     conn.send(verify_conjecture(spec).to_json())
 
 
 def test_forked_child_draws_on_its_own_thread():
-    """A forked child inherits the parent's draw executor but not its
-    thread; its sampled scan must start a thread of its own, not wait on
-    one that never runs."""
-    whole = verify_conjecture(SPANNING).to_json()  # the parent's draw thread runs
+    """A child forked after a sampled scan inherits no draw thread; its
+    own sampled scan starts one and gives the parent's report."""
+    whole = verify_conjecture(SPANNING).to_json()
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_report, args=(send, SPANNING))
@@ -533,3 +557,52 @@ GOLDEN_REPORTS = {
 def test_golden_report_digests(name):
     run, digest = GOLDEN_REPORTS[name]
     assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+
+
+def _drawn_scan(shard):
+    return verify_conjecture(EnumerationSpec(
+        n=3, mode="sampled", samples=DRAWN_SHARDS[shard], seed=6, shard=shard))
+
+
+SPLIT_RUNS = {  # among them specs with fewer blocks, or rows, than workers
+    **{name: run for name, (run, _) in GOLDEN_REPORTS.items()},
+    **{f"drawn {k}/{m}": partial(_drawn_scan, (k, m)) for k, m in DRAWN_SHARDS},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(SPLIT_RUNS))
+def test_run_parallel_ranges_draw_each_block_once(monkeypatch, name, workers):
+    """run_parallel's contiguous ranges give the one-process report at any
+    worker count, and all ranges together draw every sample block once,
+    through the last row the shard needs from it, where a residue split
+    of W workers draws each block W times."""
+    run = SPLIT_RUNS[name]
+    whole = run().to_json()
+    if name in GOLDEN_REPORTS:
+        assert hashlib.sha256(whole.encode()).hexdigest() == GOLDEN_REPORTS[name][1]
+    specs, draws, sizes = [], [], []
+    real = enumeration.philox_digits
+
+    def counting(seed, base, width, block, rows):
+        draws.append((block, rows))
+        return real(seed, base, width, block, rows)
+
+    monkeypatch.setattr(enumeration, "philox_digits", counting)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    # the runs call this module's campaign names: route each through run_parallel
+    for campaign in (verify_conjecture, estimate_f, screen_and_audit):
+        def split(spec, campaign=campaign, **kwargs):
+            specs.append(spec)
+            return run_parallel(campaign, spec, workers, **kwargs)
+
+        monkeypatch.setattr(sys.modules[__name__], campaign.__name__, split)
+    assert run().to_json() == whole
+    (spec,) = specs
+    needed = {}  # block -> rows through the shard's last index in it
+    for index in shard_indices(spec) if spec.mode == "sampled" else ():
+        block, row = divmod(index, SAMPLE_BLOCK_ROWS)
+        needed[block] = row + 1
+    assert draws == sorted(needed.items())
+    assert len(sizes) <= 1 and all(1 < size <= workers for size in sizes)

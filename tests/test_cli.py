@@ -14,8 +14,9 @@ import monodom
 import monodom.campaigns as campaigns
 import monodom.cli as cli
 from monodom.campaigns import CampaignResult
-from monodom.core import ColouredTournament, canonical_json, parse, serialize
+from monodom.core import Colour, ColouredTournament, canonical_json, parse, serialize
 from monodom.enumeration import DEFAULT_BUDGET, EnumerationSpec
+from test_campaigns import _InProcessPool
 
 T3_TEXT = "3\n.r.\n..b\ng..\n"
 
@@ -145,12 +146,20 @@ def test_verify_has_no_cyclic_option(capsys):
 
 def test_search_picks_progress_as_verify_does(capsys, monkeypatch):
     """Progress goes to stderr only for shards of PROGRESS_THRESHOLD rows
-    or more; search --order 4 --pattern rb has 36."""
+    or more; search --order 4 --pattern rb has 36.  Split over workers,
+    each range reports its own rows."""
     monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
     for threshold, lines in ((37, 0), (36, 1)):
         monkeypatch.setattr(cli, "PROGRESS_THRESHOLD", threshold)
         status, _, err = run_cli(capsys, "search", "--order", "4", "--pattern", "rb")
         assert status == 0 and err.count("shard 0/1: 36 of 36") == lines, threshold
+    # a range worker names its range and counts the rows done within it
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool([], max_workers))
+    spec = EnumerationSpec(n=4, pattern=(Colour.RED, Colour.BLUE))
+    campaigns.run_parallel(campaigns.screen_and_audit, spec, workers=2, progress=10)
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["shard 0/1 [0, 18): 18 of 18", "shard 0/1 [18, 36): 18 of 18"]
 
 
 def test_audit_text_and_json(capsys, t3_file):
