@@ -2,14 +2,18 @@
 
 Campaigns stream instances as uint8 code arrays of shape (batch, pairs),
 stored slot-major, and evaluate whole batches at once.  Exhaustive codes
-split each index once per run of five free slots and gather the run's
-digits from a read-only table; sampled batches slice the Philox blocks
-they touch.  A scan draws each block once, on its own helper thread, one
-block ahead of the batches it evaluates.  The T_3 screen and the
-vertex filter gather nothing: slot code x = orientation * 3 + colour becomes
-the one-hot byte 1 << x, and the T_3 screen tests every triple i < j < k of
-one pair (i, j) for a cyclic rainbow triangle with a few byte operations
-over two contiguous runs of slots.
+read the free slots in runs of five: the lowest run, periodic in the shard
+position, is one slice of a per-scan digit tile; a higher run is repeated
+over the stretches on which it is constant, or gathered row by row from a
+read-only digit table when the shard modulus comes within STRETCH_ROWS of
+its place value.
+Sampled batches slice the Philox blocks they touch; a scan draws each
+block once, on its own helper thread, one block ahead of the batches it
+evaluates.  The T_3 screen and the vertex filter gather nothing: slot
+code x = orientation * 3 + colour becomes the one-hot byte 1 << x, and the
+T_3 screen tests every triple i < j < k of one pair (i, j) for a cyclic
+rainbow triangle with a few byte operations over two contiguous runs of
+slots.
 Reachability is bit-sliced: one bit per instance, 64 instances per uint64
 word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
 [c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
@@ -41,7 +45,7 @@ from __future__ import annotations
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -49,7 +53,12 @@ from .core import pair_slots, slot_index
 from .enumeration import SAMPLE_BLOCK_ROWS, WORD_BITS, EnumerationSpec, sample_block
 
 
-DIGIT_RUN = 5  # free slots decoded by one lookup into the digit table
+DIGIT_RUN = 5  # free slots per run: one digit-table column, 6**5 = 7,776 at most
+# a higher run is repeated over its stretches when they average at least this
+# many rows, and gathered row by row below that: each stretch costs several
+# times a gathered row (its bound, its digits, np.repeat), and on 2^15-row
+# batches at n=6 and n=7 the two ways break even near 3 rows a stretch
+STRETCH_ROWS = 4
 WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
 
 
@@ -88,7 +97,9 @@ class Workspace:
     Reach, and "scratch0".."scratch2" temporaries that no result outlives.
     The T_3 mask writes only its own buffer and the scratch buffers, never
     "any_reach": a scan may call it between any_reach and the masks that
-    read the Reach.
+    read the Reach.  "digit_tile" holds the exhaustive scan's lowest-run
+    digits (`digit_tile`), built once per scan, at most 5 x (7,776 + 2^15)
+    bytes, about 0.2 MB, with 2^15-row batches.
 
     A sampled scan reading shard positions below `stop` draws each block
     it touches once, through the last row the scan needs from it.  Every
@@ -108,6 +119,7 @@ class Workspace:
         self.block: tuple | None = None  # (spec, block) of the held digits
         self.digits: np.ndarray | None = None  # a view of the "sample_block" buffer
         self.ahead: tuple | None = None  # ((spec, block, stop), future) of the next draw
+        self.tile: tuple | None = None  # (base, width, k, m, columns) of the "digit_tile" buffer
         self._ramp = np.arange(0, dtype=np.uint64)
 
     def buffer(
@@ -135,6 +147,34 @@ class Workspace:
             self._ramp = np.arange(max(size, self.rows), dtype=np.uint64)
             self._ramp.flags.writeable = False
         return self._ramp[:size]
+
+    def digit_tile(self, base: int, width: int, k: int, m: int) -> tuple[np.ndarray, int]:
+        """The digits of the lowest run of `width` free slots at shard
+        positions 0 .. period + self.rows - 1 of shard k of m, and the
+        period: column p holds the digits of (k + p * m) % base**width,
+        digit j in row j.  The columns repeat every base**width / gcd(m,
+        base**width) <= base**width positions, so a batch of at most
+        self.rows rows is one contiguous slice from column start % period.
+
+        Built from one period and copied onward, into the "digit_tile"
+        buffer, when the shard, the width or the column count changes; at
+        most 5 x (7,776 + 2^15) bytes in a scan of 2^15-row batches."""
+        radix = base**width
+        k, m = k % radix, m % radix  # a shard's k and m can pass 2**63
+        period = radix // gcd(m, radix)
+        columns = period + self.rows
+        key = (base, width, k, m, columns)
+        tile = self.buffer("digit_tile", (width, columns), np.uint8, columns)
+        if self.tile != key:
+            values = (k + np.arange(period, dtype=np.int64) * m) % radix
+            tile[:, :period] = np.take(_digit_table(base, width), values, axis=1)
+            filled = period
+            while filled < columns:  # a whole number of periods, doubled each pass
+                step = min(filled, columns - filled)
+                tile[:, filled : filled + step] = tile[:, :step]
+                filled += step
+            self.tile = key
+        return tile, period
 
     def holds(self, name: str, array: np.ndarray) -> bool:
         return name in self.buffers and np.may_share_memory(self.buffers[name], array)
@@ -206,14 +246,28 @@ def batch_codes(
     slot-major storage, so each slot's column is contiguous, as the T_3
     mask and decode_rows read it.
 
-    Exhaustive mode splits each index once per run of DIGIT_RUN free slots
-    of one base and gathers the run's digits from a read-only digit table
-    of base**width entries.  In sampled mode the rows of shard k of m
-    inside one sample block are every m-th row of it; the scan's workspace
-    draws each block once, one block ahead on the scan's helper thread.
-    Without one the call draws each block it touches, through the last row
-    it needs, in the caller.
+    Exhaustive mode reads the free slots in runs of DIGIT_RUN, whose value
+    at row p is (k + (start + p) * m) // place % radix, three ways:
+    - the lowest run (place 1) is periodic in the shard position, so it is
+      one contiguous slice of the workspace's digit_tile;
+    - a higher run with m < place takes consecutive values, each on a
+      stretch of about place / m rows; where the stretches average at least
+      STRETCH_ROWS rows, the digits of those ~size * m / place values come
+      from the read-only digit table and np.repeat spreads them over their
+      stretches;
+    - any other higher run, m >= place / STRETCH_ROWS, has a value every
+      row or few rows: the indices are divided once per run and every
+      row's digits gathered from the table.
+    In sampled mode the rows of shard k of m inside one sample block are
+    every m-th row of it; the scan's workspace draws each block once, one
+    block ahead on the scan's helper thread.  Without one the call draws
+    each block it touches, through the last row it needs, in the caller.
+    Positions outside [0, spec.shard_size()) raise ValueError.
     """
+    positions = spec.shard_size()
+    if start < 0 or size < 0 or start + size > positions:
+        raise ValueError(f"positions [{start}, {start + size}) lie outside the shard "
+                         f"of {positions} positions")
     ws = ws or Workspace()
     ws.rows = max(ws.rows, size)
     k, m = spec.shard
@@ -222,7 +276,7 @@ def batch_codes(
     for s, code in spec.pinned.items():
         out[s] = code
     free = spec.free_slots
-    if not free:
+    if not free or not size:
         return out.T
     if spec.mode == "sampled":
         slots = slice(None) if len(free) == P else np.array(free, dtype=np.intp)
@@ -238,28 +292,53 @@ def batch_codes(
             r += count
             index += count * m
         return out.T
-    # exact below EnumerationSpec's INDEX_LIMIT = 2**63; a modulus past the
-    # space leaves one row
-    idx, chunk, rest = (ws.buffer(f"scratch{i}", (size,), np.uint64) for i in range(3))
-    if size > 1:
-        np.multiply(ws.ramp(size), np.uint64(m), out=idx)
-    else:
-        idx.fill(0)
-    idx += np.uint64(k + start * m)
-    base = spec.base  # one base for every free slot: runs split only by length
-    for lo in range(0, len(free), DIGIT_RUN):
-        run = free[lo : lo + DIGIT_RUN]
-        if lo + DIGIT_RUN < len(free):
-            radix = np.uint64(base ** len(run))
-            np.floor_divide(idx, radix, out=rest)
-            np.multiply(rest, radix, out=chunk)
+    # runs of DIGIT_RUN free slots, lowest first: index x's digits in a run
+    # of place value `place` are those of x // place % base**len(run)
+    base, first = spec.base, k + start * m  # first: the batch's first index
+    runs = [free[lo : lo + DIGIT_RUN] for lo in range(0, len(free), DIGIT_RUN)]
+    tile, period = ws.digit_tile(base, len(runs[0]), k, m)
+    offset = start % period
+    for j, s in enumerate(runs[0]):
+        out[s] = tile[j, offset : offset + size]
+    place, idx = base ** len(runs[0]), None
+    for run in runs[1:]:
+        radix = base ** len(run)
+        table = _digit_table(base, len(run))
+        if STRETCH_ROWS * m <= place:
+            # the value x // place steps by at most 1 a row: the batch meets
+            # the ~size * m / place values from `value` on in stretches, and
+            # stretch v starts at the first row with x >= (value + v) * place
+            value, past = divmod(first, place)
+            count = (first + (size - 1) * m) // place - value + 1
+            bounds = np.arange(count + 1, dtype=np.int64) * place
+            bounds += m - 1 - past
+            bounds //= m  # ceil((v * place - past) / m)
+            bounds[0], bounds[-1] = 0, size
+            counts = bounds[1:] - bounds[:-1]
+            # wrap mode steps an index down by radix at a time: start below it
+            lowest = value % radix
+            digits = np.take(table, np.arange(lowest, lowest + count), axis=1, mode="wrap")
+            for j, s in enumerate(run):
+                out[s] = np.repeat(digits[j], counts)
+        else:
+            # every row its own value: divide out place, then gather; exact
+            # below EnumerationSpec's INDEX_LIMIT = 2**63, and a modulus past
+            # the space leaves one row
+            if idx is None:
+                idx, chunk, rest = (ws.buffer(f"scratch{i}", (size,), np.uint64) for i in range(3))
+                if size > 1:
+                    np.multiply(ws.ramp(size), np.uint64(m), out=idx)
+                else:
+                    idx.fill(0)
+                idx += np.uint64(first)
+                idx //= np.uint64(place)
+            np.floor_divide(idx, np.uint64(radix), out=rest)
+            np.multiply(rest, np.uint64(radix), out=chunk)
             np.subtract(idx, chunk, out=chunk)
             digits, idx, rest = chunk.view(np.intp), rest, idx
-        else:
-            digits = idx.view(np.intp)
-        table = _digit_table(base, len(run))
-        for j, s in enumerate(run):
-            table[j].take(digits, out=out[s])
+            for j, s in enumerate(run):
+                table[j].take(digits, out=out[s])
+        place *= radix
     return out.T
 
 

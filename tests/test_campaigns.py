@@ -518,6 +518,18 @@ def test_scan_allocates_only_while_batches_grow(monkeypatch, name):
     assert run().to_json() == whole
 
 
+def test_exhaustive_scans_leave_no_state_behind():
+    """Scans of different shards give the same reports in either order: each
+    builds its digit tile in its own workspace, and the digit tables are
+    cached by (base, width) only, one entry for every n=5 run."""
+    specs = [EnumerationSpec(n=5, shard=(3, 229)), EnumerationSpec(n=5, shard=(8, 7777))]
+    kernel._digit_table.cache_clear()
+    forward = [verify_conjecture(spec).to_json() for spec in specs]
+    backward = [verify_conjecture(spec).to_json() for spec in reversed(specs)]
+    assert forward == backward[::-1]
+    assert kernel._digit_table.cache_info().currsize == 1  # (6, 5)
+
+
 # SHA-256 of to_json() for reports the campaigns have always produced
 GOLDEN_REPORTS = {
     "ssw2 n=4": (

@@ -1,7 +1,9 @@
 """Batch kernel vs the one-instance engine: every mask, both colour counts."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -177,6 +179,86 @@ def test_batch_codes_sampled_slices_blocks(n, pattern, shard):
         for p in (first - 1, first, first + 1):
             if 0 <= p < size:
                 assert np.array_equal(batch_codes(spec, p, 1), ref[p : p + 1])
+
+
+def test_batch_codes_exhaustive_refuses_positions_outside_the_shard():
+    spec = EnumerationSpec(n=3)  # 216 positions
+    for start, size in ((215, 3), (216, 1), (-2, 1), (0, 217), (0, -1)):
+        with pytest.raises(ValueError, match="shard of 216 positions"):
+            batch_codes(spec, start, size)
+    assert batch_codes(spec, 216, 0).shape == (0, 3)
+    sharded = EnumerationSpec(n=3, shard=(5, 100))  # indices 5, 105, 205
+    with pytest.raises(ValueError, match="shard of 3 positions"):
+        batch_codes(sharded, 2, 2)
+    assert [tuple(row) for row in batch_codes(sharded, 2, 1)] == [index_to_codes(sharded, 205)]
+
+
+def test_batch_codes_sampled_refuses_positions_outside_the_shard():
+    spec = EnumerationSpec(n=4, mode="sampled", samples=10, seed=1)
+    for start, size in ((8, 5), (10, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="shard of 10 positions"):
+            batch_codes(spec, start, size)
+    assert batch_codes(spec, 10, 0).shape == (0, 6)
+    sharded = EnumerationSpec(n=4, mode="sampled", samples=10, seed=1, shard=(1, 3))
+    with pytest.raises(ValueError, match="shard of 3 positions"):  # rows 1, 4, 7
+        batch_codes(sharded, 2, 2)
+
+
+def _mirror_codes(spec, start, size):
+    """index_to_codes of every row, vectorized: free slot j holds digit j of
+    the index, x // base**j % base."""
+    k, m = spec.shard
+    index = np.uint64(k) + np.uint64(m) * (start + np.arange(size, dtype=np.uint64))
+    codes = np.zeros((size, len(pair_slots(spec.n))), dtype=np.uint8)
+    for s, code in spec.pinned.items():
+        codes[:, s] = code
+    for j, s in enumerate(spec.free_slots):
+        codes[:, s] = index // np.uint64(spec.base**j) % np.uint64(spec.base)
+    return codes
+
+
+# Exhaustive spaces with runs of place value 1, base**5 and, for 15 free
+# slots, base**10.  Each modulus list straddles both higher place values and
+# a quarter of them (kernel.STRETCH_ROWS), so the runs above the lowest are
+# repeated over stretches (4 * m <= place) or gathered row by row, and
+# 7776 = 6**5 leaves a one-column tile
+RUN_CASES = [
+    (EnumerationSpec(n=6, budget=6**15),
+     (1, 2, 3, 36, 229, 1296, 1943, 1944, 1945, 7775, 7776, 7777,
+      6**10 // 4, 6**10 // 4 + 1, 6**10 - 1, 6**10 + 1)),
+    (EnumerationSpec(n=6, colours=2, budget=4**15),
+     (1, 3, 229, 255, 256, 257, 1023, 1024, 1025, 4**10 - 1, 4**10 + 1)),
+    (EnumerationSpec(n=6, pattern=RGB), (1, 2, 229, 1296, 1944, 1945, 7775, 7776, 7777)),
+]
+
+
+@pytest.mark.parametrize("spec,moduli", RUN_CASES, ids=["n6", "n6-two-colour", "n6-pinned"])
+def test_batch_codes_exhaustive_run_cases(spec, moduli):
+    """Batches of 0, 1, 63 and 2^15 rows from mid-shard and at the last rows
+    of the space match index_to_codes: row by row for the small batches, and
+    through a vectorized mirror of it, itself checked on every 97th row, for
+    the large ones.  One workspace serves each shard's batches, so its tile
+    is built, rebuilt as the batches grow, and reused."""
+    radix = spec.base ** min(kernel.DIGIT_RUN, len(spec.free_slots))
+    for m in moduli:
+        sharded = replace(spec, shard=(m // 3, m))
+        positions = sharded.shard_size()
+        period = radix // gcd(m, radix)
+        ws = Workspace()
+        for size in (0, 1, 63, 2**15, 63):
+            if size > positions:
+                continue
+            last = positions - size
+            for start in sorted({min(positions // 2 + period // 2 + 1, last), last}):
+                got = batch_codes(sharded, start, size, ws)
+                if size <= 63:
+                    want = [index_to_codes(sharded, m // 3 + (start + p) * m) for p in range(size)]
+                    assert [tuple(row) for row in got] == want, (m, start, size)
+                else:
+                    want = _mirror_codes(sharded, start, size)
+                    for p in range(0, size, 97):
+                        assert tuple(want[p]) == index_to_codes(sharded, m // 3 + (start + p) * m)
+                    assert np.array_equal(got, want), (m, start, size)
 
 
 def to_planes(bits):
