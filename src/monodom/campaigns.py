@@ -201,9 +201,8 @@ class _Scan:
 
     def index(self, row: int) -> int:
         """Global index of an examined row of the current batch."""
-        k, m = self.spec.shard
         position = self._start + int(row if self._rows is None else self._rows[row])
-        return k + position * m
+        return self.spec.index(position)
 
     def instance(self, row: int) -> ColouredTournament:
         return ColouredTournament.from_codes(
@@ -333,13 +332,6 @@ def screen_and_audit(spec: EnumerationSpec, progress: int = 0,
 # -- parallel driver -----------------------------------------------------------------
 
 
-def _block_start(spec: EnumerationSpec, position: int) -> int:
-    """The first shard position from `position` > 0 on that is its block's first."""
-    k, m = spec.shard
-    block = (k + (position - 1) * m) // SAMPLE_BLOCK_ROWS  # the previous position's
-    return -(-((block + 1) * SAMPLE_BLOCK_ROWS - k) // m)
-
-
 def _run_range(campaign, spec, kwargs, positions):
     return campaign(spec, positions=positions, **kwargs)
 
@@ -354,16 +346,17 @@ def run_parallel(
     contiguous ranges of shard positions, one process each, and merge.
     The campaign must be a module-level function, so that it pickles.
 
-    The cuts split the shard evenly; sampled cuts move up to the first
-    position of a sample block, so each block is drawn once in all, and
-    empty ranges are dropped.  The ranges cover the shard, so the merge
-    equals the one-process run.  Its elapsed is the pool's wall time.
+    The cuts split the shard evenly; a sampled cut moves up to the end of
+    its previous position's sample block, so each block is drawn once in
+    all.  Empty ranges are dropped.  The ranges cover the shard, so the
+    merge equals the one-process run.  Its elapsed is the pool's wall time.
     """
     total = spec.shard_size()
     workers = max(1, min(workers, total))
     cuts = [total * j // workers for j in range(workers + 1)]
     if spec.mode == "sampled":
-        cuts[1:-1] = [min(_block_start(spec, cut), total) for cut in cuts[1:-1]]
+        cuts[1:-1] = [spec.block_positions(spec.index(cut - 1) // SAMPLE_BLOCK_ROWS).stop
+                      for cut in cuts[1:-1]]
     ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     if len(ranges) <= 1:
         return campaign(spec, **kwargs)

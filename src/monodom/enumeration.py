@@ -7,11 +7,15 @@ through these integers; shard k of m takes the residue class k mod m, so
 shards partition the space exactly.  Sampled mode draws digits uniformly
 from a Philox counter-based generator in fixed 65536-row blocks, so shards of
 one seed slice the same stream.
+EnumerationSpec owns the slot layout, computed once per spec, and the map
+from shard positions to global indices and sample blocks (`index`,
+`block_positions`); the kernel and the campaigns read both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 from .core import Colour, ColouredTournament, pair_slots, slot_index
@@ -90,7 +94,7 @@ class EnumerationSpec:
             if any(int(c) >= self.colours for c in self.pattern):
                 raise ValueError("pattern colour outside the palette")
             object.__setattr__(self, "pattern", tuple(map(Colour, self.pattern)))
-            pattern_pinned_codes(self.n, self.pattern)  # validates divisibility
+            self.pinned  # validates divisibility
         if self.mode == "sampled":
             if self.samples < 1:
                 raise ValueError("sampled mode needs samples >= 1")
@@ -107,24 +111,24 @@ class EnumerationSpec:
             raise ValueError(f"{self.mode} index space {self.index_count} exceeds "
                              "the campaign index limit 2**63")
 
-    # -- geometry ------------------------------------------------------------
+    # -- geometry (the layout is cached read-only, outside the fields) ---------
 
     @property
     def base(self) -> int:
         return 2 * self.colours
 
-    @property
+    @cached_property
     def pinned(self) -> dict[int, int]:
         if self.pattern is None:
             return {}
         return pattern_pinned_codes(self.n, self.pattern, self.colours)
 
-    @property
-    def free_slots(self) -> list[int]:
+    @cached_property
+    def free_slots(self) -> tuple[int, ...]:
         pinned = self.pinned
-        return [s for s in range(len(pair_slots(self.n))) if s not in pinned]
+        return tuple(s for s in range(len(pair_slots(self.n))) if s not in pinned)
 
-    @property
+    @cached_property
     def space(self) -> int:
         """Size of the exhaustive index space (over free slots)."""
         return self.base ** len(self.free_slots)
@@ -138,6 +142,20 @@ class EnumerationSpec:
         k, m = self.shard
         total = self.index_count
         return (total - k + m - 1) // m if total > k else 0
+
+    def index(self, position: int) -> int:
+        """Global index of shard position `position`."""
+        return self.shard[0] + position * self.shard[1]
+
+    def block_positions(self, block: int) -> range:
+        """The shard positions whose global index lies in sample block
+        `block`, rows block*65536 onwards: empty where a shard modulus
+        above 65536 steps over the block."""
+        k, m = self.shard
+        # the first position at or past row r is ceil((r - k) / m), within the shard
+        lo, hi = (min(self.shard_size(), max(0, -((k - r) // m)))
+                  for r in (block * SAMPLE_BLOCK_ROWS, (block + 1) * SAMPLE_BLOCK_ROWS))
+        return range(lo, hi)
 
     def unsharded(self) -> "EnumerationSpec":
         return replace(self, shard=(0, 1))

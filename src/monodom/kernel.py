@@ -7,13 +7,13 @@ position, is one slice of a per-scan digit tile; a higher run is repeated
 over the stretches on which it is constant, or gathered row by row from a
 read-only digit table when the shard modulus comes within STRETCH_ROWS of
 its place value.
-Sampled batches slice the Philox blocks they touch; a scan draws each
-block once, on its own helper thread, one block ahead of the batches it
-evaluates.  The T_3 screen and the vertex filter gather nothing: slot
-code x = orientation * 3 + colour becomes the one-hot byte 1 << x, and the
-T_3 screen tests every triple i < j < k of one pair (i, j) for a cyclic
-rainbow triangle with a few byte operations over two contiguous runs of
-slots.
+Sampled batches slice the Philox blocks EnumerationSpec.block_positions
+puts their rows in; a scan draws each block once, on its own helper thread,
+one block ahead of the batches it evaluates.  The T_3 screen and the vertex
+filter gather nothing: slot code x = orientation * 3 + colour becomes the
+one-hot byte 1 << x, and the T_3 screen tests every triple i < j < k of one
+pair (i, j) for a cyclic rainbow triangle with a few byte operations over
+two contiguous runs of slots.
 Reachability is bit-sliced: one bit per instance, 64 instances per uint64
 word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
 [c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
@@ -62,25 +62,6 @@ STRETCH_ROWS = 4
 WORD_ROWS = 64  # rows per bit-plane word: row r is bit r % 64 of word r // 64
 
 
-def _rows_through(spec: EnumerationSpec, block: int, stop: int) -> int:
-    """Rows of sample block `block` through the last row of the spec's
-    shard positions [0, stop) in it."""
-    k, m = spec.shard
-    top = min(k + (stop - 1) * m, (block + 1) * SAMPLE_BLOCK_ROWS - 1)
-    top -= (top - k) % m
-    return top - block * SAMPLE_BLOCK_ROWS + 1
-
-
-def _next_block(spec: EnumerationSpec, block: int, stop: int) -> int | None:
-    """The first block past `block` holding a row of the spec's shard
-    positions [0, stop), or None.  With a shard modulus above
-    SAMPLE_BLOCK_ROWS it need not be block + 1."""
-    k, m = spec.shard
-    first = (block + 1) * SAMPLE_BLOCK_ROWS
-    index = first + (k - first) % m  # the shard's first row from there on
-    return index // SAMPLE_BLOCK_ROWS if index < k + stop * m else None
-
-
 class Workspace:
     """Scratch memory one scan reuses for every batch, and the sample blocks
     it draws.
@@ -116,7 +97,7 @@ class Workspace:
         self.pool = pool
         self.rows = 0  # rows of the largest batch so far
         self.buffers: dict[str, np.ndarray] = {}
-        self.block: tuple | None = None  # (spec, block) of the held digits
+        self.block: tuple | None = None  # (spec, block, stop) of the held digits
         self.digits: np.ndarray | None = None  # a view of the "sample_block" buffer
         self.ahead: tuple | None = None  # ((spec, block, stop), future) of the next draw
         self.tile: tuple | None = None  # (base, width, k, m, columns) of the "digit_tile" buffer
@@ -148,13 +129,15 @@ class Workspace:
             self._ramp.flags.writeable = False
         return self._ramp[:size]
 
-    def digit_tile(self, base: int, width: int, k: int, m: int) -> tuple[np.ndarray, int]:
-        """The digits of the lowest run of `width` free slots at shard
-        positions 0 .. period + self.rows - 1 of shard k of m, and the
-        period: column p holds the digits of (k + p * m) % base**width,
-        digit j in row j.  The columns repeat every base**width / gcd(m,
-        base**width) <= base**width positions, so a batch of at most
-        self.rows rows is one contiguous slice from column start % period.
+    def digit_tile(
+        self, base: int, width: int, k: int, m: int, start: int, size: int
+    ) -> np.ndarray | None:
+        """The lowest run's digits at shard positions start .. start + size - 1
+        of shard k of m, digit j of `width` in row j, or None when the period
+        is wider than self.rows (gathering then costs less).  They are one
+        contiguous slice of a tile whose column p < period + self.rows holds
+        the digits of (k + p * m) % base**width: the columns repeat every
+        base**width / gcd(m, base**width) <= base**width positions.
 
         Built from one period and copied onward, into the "digit_tile"
         buffer, when the shard, the width or the column count changes; at
@@ -162,6 +145,8 @@ class Workspace:
         radix = base**width
         k, m = k % radix, m % radix  # a shard's k and m can pass 2**63
         period = radix // gcd(m, radix)
+        if period > self.rows:
+            return None
         columns = period + self.rows
         key = (base, width, k, m, columns)
         tile = self.buffer("digit_tile", (width, columns), np.uint8, columns)
@@ -174,14 +159,15 @@ class Workspace:
                 tile[:, filled : filled + step] = tile[:, :step]
                 filled += step
             self.tile = key
-        return tile, period
+        return tile[:, start % period :][:, :size]
 
     def holds(self, name: str, array: np.ndarray) -> bool:
         return name in self.buffers and np.may_share_memory(self.buffers[name], array)
 
     def sample_block(self, spec: EnumerationSpec, block: int, stop: int) -> np.ndarray:
         """Digits of sample block `block`, drawn through the last row of
-        shard positions [0, max(stop, self.stop)) in it.
+        shard positions [0, max(stop, self.stop)) in it; the spec's
+        block_positions says which positions lie in a block.
 
         The block is taken from the draw submitted ahead of it, or else
         from one submitted now, and copied into the "sample_block" buffer
@@ -198,25 +184,28 @@ class Workspace:
         block in most 28-second runs of the sampled-n9 benchmark.
         """
         stop = max(stop, self.stop)
-        if self.block != (spec, block) or len(self.digits) < _rows_through(spec, block, stop):
+        key = (spec, block, stop)
+        if self.block != key:
             self.block = self.digits = None
-            key, future = self.ahead or (None, None)
+            ahead, future = self.ahead or (None, None)
             self.ahead = None
-            if key != (spec, block, stop):
+            if ahead != key:
                 future = self._draw(spec, block, stop)
             drawn = future.result()
             flat = self.buffer("sample_block", (drawn.size,), np.uint8, drawn.size)
             self.digits = flat.reshape(drawn.shape)
             np.copyto(self.digits, drawn)
             del drawn, future  # the drawn array dies before the next draw allocates one
-            self.block = (spec, block)
-            following = _next_block(spec, block, stop)
-            if following is not None:
+            self.block = key
+            following = spec.block_positions(block).stop  # the first position past the block
+            if following < stop:  # a modulus above 65536 can step over block + 1
+                following = spec.index(following) // SAMPLE_BLOCK_ROWS
                 self.ahead = (spec, following, stop), self._draw(spec, following, stop)
         return self.digits
 
     def _draw(self, spec: EnumerationSpec, block: int, stop: int) -> Future:
-        args = spec, block, _rows_through(spec, block, stop)
+        last = min(spec.block_positions(block).stop, stop) - 1  # its last position below stop
+        args = spec, block, spec.index(last) % SAMPLE_BLOCK_ROWS + 1
         if self.pool is not None:
             return self.pool.submit(sample_block, *args)
         drawn = Future()
@@ -249,19 +238,20 @@ def batch_codes(
     Exhaustive mode reads the free slots in runs of DIGIT_RUN, whose value
     at row p is (k + (start + p) * m) // place % radix, three ways:
     - the lowest run (place 1) is periodic in the shard position, so it is
-      one contiguous slice of the workspace's digit_tile;
+      one contiguous slice of the workspace's digit_tile, if it has one;
     - a higher run with m < place takes consecutive values, each on a
       stretch of about place / m rows; where the stretches average at least
       STRETCH_ROWS rows, the digits of those ~size * m / place values come
       from the read-only digit table and np.repeat spreads them over their
       stretches;
-    - any other higher run, m >= place / STRETCH_ROWS, has a value every
-      row or few rows: the indices are divided once per run and every
-      row's digits gathered from the table.
-    In sampled mode the rows of shard k of m inside one sample block are
-    every m-th row of it; the scan's workspace draws each block once, one
-    block ahead on the scan's helper thread.  Without one the call draws
-    each block it touches, through the last row it needs, in the caller.
+    - any other run, m >= place / STRETCH_ROWS or a lowest run without a
+      tile, has a value every row or few rows: the indices are divided
+      once per run and every row's digits gathered from the table.
+    In sampled mode a sample block's rows of shard k of m (its
+    block_positions) are every m-th row of it; the scan's workspace draws
+    each block once, one block ahead on the scan's helper thread.  Without
+    one the call draws each block it touches, through the last row it
+    needs, in the caller.
     Positions outside [0, spec.shard_size()) raise ValueError.
     """
     positions = spec.shard_size()
@@ -280,31 +270,29 @@ def batch_codes(
         return out.T
     if spec.mode == "sampled":
         slots = slice(None) if len(free) == P else np.array(free, dtype=np.intp)
-        index = k + start * m
-        r = 0
-        while r < size:
-            block, first = divmod(index, SAMPLE_BLOCK_ROWS)
-            count = min(size - r, (SAMPLE_BLOCK_ROWS - 1 - first) // m + 1)
+        position, stop = start, start + size
+        while position < stop:
+            block, first = divmod(spec.index(position), SAMPLE_BLOCK_ROWS)
+            end = min(spec.block_positions(block).stop, stop)
             # no view of a block outlives its copy, so that a "sample_block"
             # buffer that grows for the next block frees the old one
-            out[slots, r : r + count] = ws.sample_block(spec, block, start + size)[
-                first : first + (count - 1) * m + 1 : m].T
-            r += count
-            index += count * m
+            out[slots, position - start : end - start] = ws.sample_block(
+                spec, block, stop)[first::m][: end - position].T
+            position = end
         return out.T
     # runs of DIGIT_RUN free slots, lowest first: index x's digits in a run
     # of place value `place` are those of x // place % base**len(run)
-    base, first = spec.base, k + start * m  # first: the batch's first index
+    base, first = spec.base, spec.index(start)  # first: the batch's first index
     runs = [free[lo : lo + DIGIT_RUN] for lo in range(0, len(free), DIGIT_RUN)]
-    tile, period = ws.digit_tile(base, len(runs[0]), k, m)
-    offset = start % period
-    for j, s in enumerate(runs[0]):
-        out[s] = tile[j, offset : offset + size]
-    place, idx = base ** len(runs[0]), None
-    for run in runs[1:]:
+    place, idx = 1, None
+    for run in runs:
         radix = base ** len(run)
         table = _digit_table(base, len(run))
-        if STRETCH_ROWS * m <= place:
+        tile = ws.digit_tile(base, len(run), k, m, start, size) if place == 1 else None
+        if tile is not None:
+            for j, s in enumerate(run):
+                out[s] = tile[j]
+        elif STRETCH_ROWS * m <= place:
             # the value x // place steps by at most 1 a row: the batch meets
             # the ~size * m / place values from `value` on in stretches, and
             # stretch v starts at the first row with x >= (value + v) * place

@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing
+import pickle
 import sys
 import threading
 import time
@@ -241,6 +242,34 @@ def test_search_pattern_sampled_deterministic():
     assert a.counts["violations"] == 0
 
 
+def test_spec_layout_is_computed_once(monkeypatch):
+    """A scan reads its spec's layout on every batch but builds it once;
+    a replaced spec builds its own, and a pickled one (as run_parallel
+    ships specs) keeps its fields and layout."""
+    calls = []
+    real = enumeration.pattern_pinned_codes
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "pattern_pinned_codes", counting)
+    monkeypatch.setattr(campaigns, "BATCH_ROWS", 64)
+    result = search_pattern(6, RB, shard=(1, 500))
+    assert result.counts["enumerated"] > 300 * 64  # over 300 batches
+    assert len(calls) == 1
+    spec = EnumerationSpec(n=6, pattern=RB, shard=(1, 500))
+    resharded = replace(spec, shard=(2, 7))
+    assert len(calls) == 3
+    assert (resharded.pinned, resharded.free_slots) == (spec.pinned, spec.free_slots)
+    assert resharded.space == spec.space and resharded.shard_size() != spec.shard_size()
+    repatterned = replace(spec, pattern=RGB)
+    assert repatterned.pinned != spec.pinned and len(calls) == 4
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    assert (copy.pinned, copy.free_slots) == (spec.pinned, spec.free_slots)
+
+
 def test_run_parallel_matches_direct():
     spec = EnumerationSpec(n=4)
     direct = verify_conjecture(spec)
@@ -351,6 +380,28 @@ DRAWN_SHARDS = {  # shard -> samples, none of them a multiple of a block
     (1, 3): 3 * SAMPLE_BLOCK_ROWS + 1234,
     (5, 150_000): 300_000,  # rows 5 and 150005: block 1 holds none
 }
+
+# shards whose moduli straddle one block, with k on both sides of a block edge
+BLOCK_EDGE_SHARDS = [(0, 1), (0, 65535), (65534, 65535), (0, 65536), (65535, 65536),
+                     (65535, 65537), (65536, 65537), (65535, 150_000), (65536, 150_000)]
+
+
+@pytest.mark.parametrize("shard,samples", [
+    *DRAWN_SHARDS.items(), *((shard, 3 * SAMPLE_BLOCK_ROWS + 1234) for shard in BLOCK_EDGE_SHARDS)])
+def test_block_positions_match_brute_force(shard, samples):
+    """block_positions(b) holds exactly the shard positions whose index
+    lies in block b; over all blocks, the last partial one included, the
+    ranges partition the shard's positions in order."""
+    spec = EnumerationSpec(n=3, mode="sampled", samples=samples, seed=6, shard=shard)
+    grouped: dict[int, list[int]] = {}
+    for position, index in enumerate(shard_indices(spec)):
+        grouped.setdefault(index // SAMPLE_BLOCK_ROWS, []).append(position)
+    blocks = -(-samples // SAMPLE_BLOCK_ROWS) + 1  # one past the last, partial block
+    ranges = [spec.block_positions(b) for b in range(blocks)]
+    assert [list(r) for r in ranges] == [grouped.get(b, []) for b in range(blocks)]
+    assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+    assert ranges[-2].stop == ranges[-1].stop == spec.shard_size()
+    assert all(spec.index(p) == index for p, index in enumerate(shard_indices(spec)))
 
 
 @pytest.mark.parametrize("shard", list(DRAWN_SHARDS))

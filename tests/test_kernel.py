@@ -261,6 +261,22 @@ def test_batch_codes_exhaustive_run_cases(spec, moduli):
                     assert np.array_equal(got, want), (m, start, size)
 
 
+def test_short_exhaustive_calls_gather_the_lowest_run():
+    """A call shorter than the lowest run's period gathers that run with
+    place value 1 and builds no digit tile; a full batch builds it."""
+    spec = EnumerationSpec(n=5, shard=(17, 229))  # period 6**5: 229 is prime to 6
+    ws = Workspace()
+    for start, size in ((1000, 1), (5000, 63), (spec.shard_size() - 63, 63)):
+        got = batch_codes(spec, start, size, ws)
+        assert ws.tile is None
+        want = [index_to_codes(spec, spec.index(start + p)) for p in range(size)]
+        assert [tuple(row) for row in got] == want
+    got = batch_codes(spec, 7000, 2**15, ws)
+    assert ws.tile is not None
+    for p in range(0, 2**15, 997):
+        assert tuple(got[p]) == index_to_codes(spec, spec.index(7000 + p))
+
+
 def to_planes(bits):
     """Bit planes of a boolean array whose last axis counts rows: bit r % 64
     of word r // 64."""
