@@ -17,9 +17,11 @@ two contiguous runs of slots.
 Reachability is bit-sliced: one bit per instance, 64 instances per uint64
 word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
 [c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
-is one compare and one np.packbits per code value and one gather through a
-(colours, n, n) slot table; Warshall closes every colour in n steps of one
-broadcast and and one or; the masks read the any-colour planes.  Every
+carries the slicing back to the code bytes: one np.bitwise_and and one
+np.packbits per code bit, a few word operations from the bit planes to the
+planes of the code values, and one gather through a (colours, n, n) slot
+table; Warshall closes every colour in n steps of one broadcast and and one
+or; the masks read the any-colour planes.  Every
 kernel call takes its whole batch in one pass, so its temporaries grow
 with the batch.  any_reach returns a Reach, which also shows each row's
 relation as n uint64 words, bit j of word i set when i => j: the pure
@@ -75,7 +77,8 @@ class Workspace:
     named after the kernel and stays valid until the next call that writes
     that buffer: "planes" holds the colour planes decode_rows writes and
     closure_rows closes in place, "any_reach" the any-colour planes of a
-    Reach, and "scratch0".."scratch2" temporaries that no result outlives.
+    Reach, and "scratch0".."scratch2" temporaries that no result outlives
+    (decode_rows also keeps its code bits in "planes" until its gather).
     The T_3 mask writes only its own buffer and the scratch buffers, never
     "any_reach": a scan may call it between any_reach and the masks that
     read the Reach.  "digit_tile" holds the exhaustive scan's lowest-run
@@ -345,7 +348,10 @@ def take_rows(codes: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) 
 
 
 def _check_word(n: int, colours: int) -> None:
-    """Refuse colours * n > WORD_BITS: the range tested against the engine."""
+    """Refuse colours other than EnumerationSpec's 2 and 3, and colours * n >
+    WORD_BITS: the range tested against the engine."""
+    if colours not in (2, 3):
+        raise ValueError(f"the kernel takes 2 or 3 colours, not {colours}")
     bits = colours * n
     if bits > WORD_BITS:
         raise ValueError(
@@ -420,27 +426,54 @@ def decode_rows(
     """Adjacency planes, shape (colours, n, n, words): bit r % 64 of
     [c, i, j, r // 64] is set when row r has the arc i -> j in colour c.
 
-    Each code value takes one compare over the slot-major codes and one
-    np.packbits along the rows, which gives one packed plane per slot; one
-    gather through a cached (colours, n, n) slot table lays them out.
-    Codes must lie below 2 * colours, as every code array batch_codes or
-    ColouredTournament.to_codes makes does: a larger code sets no bit.
+    Bit-sliced from the code bits: each bit of the codes (three at three
+    colours, two at two) takes one np.bitwise_and over the slot-major codes
+    and one np.packbits along the rows, which gives one bit plane per slot.
+    A code below 2 * colours has at most two bits set, so a few word
+    operations on these planes give the plane of every code value: a
+    two-bit code is the and of its bits, a one-bit code its bit less the
+    two-bit codes that hold it, and code 0 the inverse of every bit, with
+    its bits past the last row cleared.  One gather through a cached
+    (colours, n, n) slot table lays them out.  Codes must lie below
+    2 * colours, as every code array batch_codes or
+    ColouredTournament.to_codes makes does: a larger code, which would
+    alias a valid one, raises ValueError.
     """
     ws = ws or Workspace()
     _check_word(n, colours)
     table = _slot_table(n, colours)
     B, P = codes.shape
+    unsigned = codes.view(f"u{codes.dtype.itemsize}")  # a negative code reads as a large one
+    if int(unsigned.max(initial=0)) >= 2 * colours:
+        bad = codes[unsigned >= 2 * colours].flat[0]
+        raise ValueError(f"code {bad} is not a {colours}-colour code (0 to {2 * colours - 1})")
     W = _plane_words(B)
-    packed = ws.planes("scratch1", (2 * colours * P + 1, W))
-    packed_bytes = packed.view(np.uint8)
-    full = -(-B // 8)  # bytes np.packbits fills per plane
-    packed_bytes[:, full:] = 0  # a reused buffer holds the previous batch
-    packed_bytes[-1] = 0
-    equal = ws.buffer("scratch0", (P, B), bool)
-    for code in range(2 * colours):
-        np.equal(codes.T, code, out=equal)
-        packed_bytes[code * P : (code + 1) * P, :full] = np.packbits(equal, axis=1, bitorder="little")
     planes = ws.planes("planes", table.shape + (W,))
+    nbits = (2 * colours - 1).bit_length()
+    # the bit planes are dead before the gather overwrites them
+    bits = planes.reshape(-1)[: nbits * P * W].reshape(nbits, P, W)
+    bits_bytes = bits.view(np.uint8)
+    full = -(-B // 8)  # bytes np.packbits fills per plane
+    bits_bytes[..., full:] = 0  # a reused buffer holds the previous batch
+    masked = ws.buffer("scratch0", (P, B), np.uint8)
+    for b in range(nbits):
+        np.bitwise_and(unsigned.T, 1 << b, out=masked, casting="unsafe")
+        bits_bytes[b, :, :full] = np.packbits(masked, axis=1, bitorder="little")
+    packed = ws.planes("scratch1", (2 * colours * P + 1, W))
+    code = packed[:-1].reshape(2 * colours, P, W)  # code[x]: the plane of code value x
+    np.bitwise_and(bits[0], bits[1], out=code[3])  # 0b011
+    np.bitwise_xor(bits[1], code[3], out=code[2])  # 0b010
+    np.bitwise_xor(bits[0], code[3], out=code[1])  # 0b001, less 0b101 below
+    np.bitwise_or(bits[0], bits[1], out=code[0])
+    if colours == 3:
+        np.bitwise_and(bits[0], bits[2], out=code[5])  # 0b101
+        np.bitwise_xor(bits[2], code[5], out=code[4])  # 0b100
+        code[1] ^= code[5]
+        code[0] |= bits[2]
+    np.invert(code[0], out=code[0])
+    if B % WORD_ROWS:
+        code[0, :, -1] &= np.uint64((1 << B % WORD_ROWS) - 1)
+    packed[-1] = 0
     np.take(packed, table.reshape(-1), axis=0, out=planes.reshape(table.size, W), mode="clip")
     return planes
 

@@ -343,6 +343,33 @@ def test_kernel_refuses_words_past_64_bits():
         decode_rows(np.zeros((1, 231), dtype=np.uint8), 22, 3)
 
 
+def test_kernel_refuses_other_colour_counts():
+    for colours in (1, 4):
+        with pytest.raises(ValueError, match=f"2 or 3 colours, not {colours}"):
+            any_reach(np.zeros((1, 3), dtype=np.uint8), 3, colours)
+
+
+@pytest.mark.parametrize("colours,code", [
+    *((3, code) for code in (6, 7, 8, 255)), *((2, code) for code in (4, 5, 7, 255))])
+def test_decode_refuses_codes_out_of_range(colours, code):
+    """Decoding reads code bits, so a code of 2 * colours or more would land
+    on the planes of valid codes (6 = 0b110 on codes 2 and 4): it raises,
+    naming the code, wherever it sits in the batch, through any_reach too.
+    A negative code of a signed array is refused the same way."""
+    rng = random.Random(code * 10 + colours)
+    codes = random_codes(rng, 130, 5, colours)
+    for row, slot in ((0, 0), (64, 3), (129, 9)):
+        bad = codes.copy()
+        bad[row, slot] = code
+        for call in (decode_rows, any_reach):
+            with pytest.raises(ValueError, match=f"code {code} is not a {colours}-colour code"):
+                call(bad, 5, colours, Workspace())
+    signed = codes.astype(np.int8)
+    signed[7, 2] = -1
+    with pytest.raises(ValueError, match="code -1 is not"):
+        decode_rows(signed, 5, colours)
+
+
 def test_reach_matches_engine_relation():
     rng = random.Random(202)
     for colours in (2, 3):
@@ -615,8 +642,8 @@ PARTIAL_ORDERS = sorted({(c, n) for c in (2, 3) for n in (1, 2, 3, 5)} | set(WOR
 def test_masks_on_batches_of_partial_words(colours, n):
     """Batches of 0 to 5000 rows, most of them not whole 64-row plane words:
     every mask has exactly one entry per row, matches the engine, and the
-    plane bits past the last row stay 0, also in a workspace that held a
-    larger batch.  An empty batch, as the vertex filter can leave, gives
+    adjacency and reach plane bits past the last row stay 0, also in a
+    workspace that held a larger batch.  An empty batch, as the vertex filter can leave, gives
     empty masks and planes of no words.  At n = 1 every row is dominating.
     The engine checks the first 127 rows of every batch and the last 65 of
     the largest."""
@@ -633,7 +660,10 @@ def test_masks_on_batches_of_partial_words(colours, n):
     for B in (5000, 0, 1, 63, 64, 65, 127):
         for space in (ws, None):
             words = -(-B // 64)
-            assert decode_rows(codes[:B], n, colours, space).shape == (colours, n, n, words)
+            adj = decode_rows(codes[:B], n, colours, space)
+            assert adj.shape == (colours, n, n, words)
+            # every colour, both triangles: code 0's plane is an inverse
+            assert not plane_bits(adj, 64 * words)[..., B:].any()
             assert rainbow_triangle_mask(codes[:B], n, colours, space).shape == (B,)
             reach = any_reach(codes[:B], n, colours, space)
             masks = [dominating_vertex_mask(reach, n, space).copy(),
