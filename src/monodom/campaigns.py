@@ -54,8 +54,10 @@ class CampaignResult:
     violators: list[dict] = field(default_factory=list)
     extremal: dict = field(default_factory=dict)
     check_failures: dict[str, int] = field(default_factory=dict)
-    # telemetry, excluded from serialized form: a scan's run time in seconds;
-    # merge_results sums its parts' times, run_parallel sets its wall time
+    # telemetry, excluded from serialized form: a scan's run time in seconds,
+    # on time.perf_counter, which a wall-clock step cannot move or make
+    # negative; merge_results sums its parts' times, run_parallel sets its
+    # wall time
     elapsed: float = 0.0
 
     @property
@@ -170,7 +172,7 @@ class _Scan:
     def run(self, evaluate) -> CampaignResult:
         """Call evaluate(scan, codes) on the examined rows of every batch."""
         spec = self.spec
-        t0 = time.time()
+        t0 = time.perf_counter()
         k, m = spec.shard
         lo, hi = (0, spec.shard_size()) if self.positions is None else (
             self.positions.start, self.positions.stop)
@@ -196,7 +198,7 @@ class _Scan:
                     next_mark = (done // self.progress + 1) * self.progress
         return CampaignResult(
             spec, self.counts, self.violators, self.extremal, self.check_failures,
-            elapsed=time.time() - t0,
+            elapsed=time.perf_counter() - t0,
         )
 
     def index(self, row: int) -> int:
@@ -360,7 +362,7 @@ def run_parallel(
     ranges = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     if len(ranges) <= 1:
         return campaign(spec, **kwargs)
-    t0 = time.time()
+    t0 = time.perf_counter()
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(partial(_run_range, campaign, spec, kwargs), ranges))
-    return replace(merge_results(parts, spec=spec), elapsed=time.time() - t0)
+    return replace(merge_results(parts, spec=spec), elapsed=time.perf_counter() - t0)

@@ -16,16 +16,21 @@ pair (i, j) for a cyclic rainbow triangle with a few byte operations over
 two contiguous runs of slots.
 Reachability is bit-sliced: one bit per instance, 64 instances per uint64
 word, so each numpy pass settles 64 rows per word.  Bit r % 64 of plane
-[c, i, j] word r // 64 is set when row r has i => j in colour c.  Decoding
+[i, j, c] word r // 64 is set when row r has i => j in colour c.  Decoding
 carries the slicing back to the code bytes: one np.bitwise_and and one
 np.packbits per code bit, a few word operations from the bit planes to the
-planes of the code values, and one gather through a (colours, n, n) slot
+planes of the code values, and one gather through an (n, n, colours) slot
 table; Warshall closes every colour in n steps of one broadcast and and one
-or; the masks read the any-colour planes.  Every
-kernel call takes its whole batch in one pass, so its temporaries grow
-with the batch.  any_reach returns a Reach, which also shows each row's
-relation as n uint64 words, bit j of word i set when i => j: the pure
-engine's any_rows, which are Python ints, for oracles and spot checks.
+or; the masks read the any-colour planes.  The colour axis sits inside the
+vertex axes, so the colours of one vertex pair are one contiguous run of
+colours x words words: a binary numpy operation whose broadcast operands
+have inner runs of a few hundred words (512 at 2^15 rows) costs 2 to 2.5
+times as much per word as one on plain operands, and runs three times as
+long cut that cost by a third (numpy 2.4).  Every kernel call takes its
+whole batch in one pass, so its temporaries grow with the batch.
+any_reach returns a Reach, which also shows each row's relation as n
+uint64 words, bit j of word i set when i => j: the pure engine's any_rows,
+which are Python ints, for oracles and spot checks.
 The kernel refuses colours * n > WORD_BITS, as EnumerationSpec does: that
 is the range over which it is tested against the engine.
 
@@ -75,10 +80,11 @@ class Workspace:
     batch_codes has produced here, so subsets of a batch (T_3-free rows,
     filtered rows) never grow it.  A kernel's result lives in the buffer
     named after the kernel and stays valid until the next call that writes
-    that buffer: "planes" holds the colour planes decode_rows writes and
-    closure_rows closes in place, "any_reach" the any-colour planes of a
-    Reach, and "scratch0".."scratch2" temporaries that no result outlives
-    (decode_rows also keeps its code bits in "planes" until its gather).
+    that buffer: "planes" holds the (n, n, colours) planes decode_rows
+    writes and closure_rows closes in place, "any_reach" the any-colour
+    planes of a Reach, and "scratch0".."scratch2" temporaries that no
+    result outlives (decode_rows also keeps its code bits in "planes" until
+    its gather).
     The T_3 mask writes only its own buffer and the scratch buffers, never
     "any_reach": a scan may call it between any_reach and the masks that
     read the Reach.  "digit_tile" holds the exhaustive scan's lowest-run
@@ -406,16 +412,16 @@ class Reach:
 
 @lru_cache(maxsize=None)
 def _slot_table(n: int, colours: int) -> np.ndarray:
-    """Row of the packed code planes that adjacency plane [c, i, j] copies:
+    """Row of the packed code planes that adjacency plane [i, j, c] copies:
     code c of slot (i, j) when i < j, code colours + c of slot (j, i) when
     i > j, and on the diagonal the zero row past all of them."""
     slots = pair_slots(n)
     P = len(slots)
-    table = np.full((colours, n, n), 2 * colours * P, dtype=np.intp)
+    table = np.full((n, n, colours), 2 * colours * P, dtype=np.intp)
     for s, (i, j) in enumerate(slots):
         for c in range(colours):
-            table[c, i, j] = c * P + s
-            table[c, j, i] = (colours + c) * P + s
+            table[i, j, c] = c * P + s
+            table[j, i, c] = (colours + c) * P + s
     table.flags.writeable = False
     return table
 
@@ -423,8 +429,10 @@ def _slot_table(n: int, colours: int) -> np.ndarray:
 def decode_rows(
     codes: np.ndarray, n: int, colours: int = 3, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Adjacency planes, shape (colours, n, n, words): bit r % 64 of
-    [c, i, j, r // 64] is set when row r has the arc i -> j in colour c.
+    """Adjacency planes, shape (n, n, colours, words): bit r % 64 of
+    [i, j, c, r // 64] is set when row r has the arc i -> j in colour c.
+    Colours inside the vertex axes make the colours of a pair (i, j) one
+    contiguous run of words, the runs closure_rows broadcasts over.
 
     Bit-sliced from the code bits: each bit of the codes (three at three
     colours, two at two) takes one np.bitwise_and over the slot-major codes
@@ -434,7 +442,7 @@ def decode_rows(
     two-bit code is the and of its bits, a one-bit code its bit less the
     two-bit codes that hold it, and code 0 the inverse of every bit, with
     its bits past the last row cleared.  One gather through a cached
-    (colours, n, n) slot table lays them out.  Codes must lie below
+    (n, n, colours) slot table lays them out.  Codes must lie below
     2 * colours, as every code array batch_codes or
     ColouredTournament.to_codes makes does: a larger code, which would
     alias a valid one, raises ValueError.
@@ -484,7 +492,10 @@ def closure_rows(
     """Reachability planes (paths of length >= 1) of adjacency planes.
 
     Warshall in n steps, each one broadcast and and one or over every
-    colour at once: for each k, [c, i, j] gains [c, i, k] & [c, k, j].
+    colour at once: for each k, [i, j, c] gains [i, k, c] & [k, j, c].
+    With colours inside the vertex axes, the and broadcasts column k's
+    [i, k] planes against row k's [k, j] planes in contiguous runs of
+    colours x words words, not of words.
     Planes that decode_rows wrote into the same workspace are closed in
     place.
     """
@@ -494,7 +505,7 @@ def closure_rows(
         np.copyto(reach, adj)
     step = ws.planes("scratch2", adj.shape)
     for k in range(n):
-        np.bitwise_and(reach[:, :, k, None], reach[:, None, k], out=step)
+        np.bitwise_and(reach[:, k, None], reach[None, k], out=step)
         reach |= step
     return reach
 
@@ -504,12 +515,12 @@ def any_reach(
 ) -> Reach:
     """The dominates relation (reachable in some colour) of every row:
     decode_rows and closure_rows over the whole batch, then the colour
-    planes or-ed into the result's planes."""
+    planes or-ed over the colour axis into the result's planes."""
     ws = ws or Workspace()
     B = codes.shape[0]
     reach = closure_rows(decode_rows(codes, n, colours, ws), n, colours, ws)
     out = ws.planes("any_reach", (n, n, _plane_words(B)))
-    np.bitwise_or.reduce(reach, axis=0, out=out)
+    np.bitwise_or.reduce(reach, axis=2, out=out)
     return Reach(out, B)
 
 
@@ -552,7 +563,10 @@ def rainbow_triangle_mask(
         near = one_hot[first : first + m - i]  # slots (i, j), j <= n - 2
         far = one_hot[first + 1 : first + 1 + m - i]  # slots (i, k), k >= i + 2
         rev, other, spare = runs[0, : m - i], runs[1, : m - i], either[: m - i]
-        np.left_shift(far, 3, out=rev)  # R: the halves of F swapped
+        # R: the halves of F swapped.  A uint8 multiply by 8 is the shift
+        # left by 3 (the and clears what wraps), and numpy's uint8 shift by
+        # a scalar runs 5 to 14 times slower than its uint8 multiply (numpy 2.4)
+        np.multiply(far, 8, out=rev)
         rev &= 0b111000
         np.right_shift(far, 3, out=spare)
         rev |= spare

@@ -324,6 +324,18 @@ def test_run_parallel_reports_wall_time(monkeypatch):
     assert merge_results(parts).elapsed == 200
 
 
+def test_elapsed_ignores_wall_clock_steps(monkeypatch):
+    """A wall clock stepped back an hour at every read, as NTP can step it
+    during a scan, leaves a scan's and a pool's elapsed positive and small."""
+    stepped = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(stepped)))
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool([], max_workers))
+    spec = EnumerationSpec(n=3)
+    for result in (verify_conjecture(spec), run_parallel(verify_conjecture, spec, workers=2)):
+        assert 0 < result.elapsed < 60
+
+
 def test_run_parallel_ssw2_and_estimate_f():
     spec2 = EnumerationSpec(n=3, colours=2)
     assert (

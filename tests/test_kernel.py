@@ -307,7 +307,7 @@ def test_closure_rows_matches_bfs_oracle():
         colours = rng.choice((2, 3))
         rows = 70
         bits = np.array([[[[rng.random() < 0.3 and i != j for _ in range(rows)]
-                           for j in range(n)] for i in range(n)] for _ in range(colours)])
+                           for _ in range(colours)] for j in range(n)] for i in range(n)])
         reach = plane_bits(closure_rows(to_planes(bits), n, colours), rows)
         for r in range(rows):
             for c in range(colours):
@@ -317,11 +317,11 @@ def test_closure_rows_matches_bfs_oracle():
                         nxt = []
                         for x in frontier:
                             for y in range(n):
-                                if bits[c, x, y, r] and y not in seen:
+                                if bits[x, y, c, r] and y not in seen:
                                     seen.add(y)
                                     nxt.append(y)
                         frontier = nxt
-                    assert {y for y in range(n) if reach[c, src, y, r]} == seen
+                    assert {y for y in range(n) if reach[src, y, c, r]} == seen
 
 
 def test_any_reach_matches_engine_at_word_edges():
@@ -380,7 +380,7 @@ def test_reach_matches_engine_relation():
                 t = ColouredTournament.from_codes(n, list(row), colours)
                 rel = domination_relation(t)
                 for c in range(colours):
-                    got = [sum(int(b) << y for y, b in enumerate(reach[c, x, :, r]))
+                    got = [sum(int(b) << y for y, b in enumerate(reach[x, :, c, r]))
                            for x in range(n)]
                     assert got == list(rel.rows[c])
 
@@ -457,6 +457,22 @@ def test_rainbow_table_exhaustive_n3():
         t = ColouredTournament.from_codes(3, list(row))
         assert bool(mask[r]) == (find_rainbow_triangle(t) is not None)
         assert bool(qual[r]) == genhamilton_check(t).holds
+
+
+@pytest.mark.parametrize("colours", (2, 3))
+def test_rainbow_mask_exhaustive_n4(colours):
+    """Every code row on 4 vertices (46,656 at three colours, 4,096 at
+    two): each code, 5 included, whose one-hot byte times 8 wraps to 0,
+    plays every role of the half swap (the (i, k) slots (0, 2), (0, 3) and
+    (1, 3)) and of the pair and far slots around it."""
+    spec = EnumerationSpec(n=4, colours=colours)
+    codes = batch_codes(spec, 0, spec.space)
+    assert len(np.unique(codes, axis=0)) == (2 * colours) ** 6
+    mask = rainbow_triangle_mask(codes, 4, colours)
+    want = [find_rainbow_triangle(ColouredTournament.from_codes(4, list(row), colours))
+            is not None for row in codes]
+    assert mask.tolist() == want
+    assert mask.any() == (colours == 3)
 
 
 def test_qualifying_mask_counts_n3_n4():
@@ -661,7 +677,7 @@ def test_masks_on_batches_of_partial_words(colours, n):
         for space in (ws, None):
             words = -(-B // 64)
             adj = decode_rows(codes[:B], n, colours, space)
-            assert adj.shape == (colours, n, n, words)
+            assert adj.shape == (n, n, colours, words)
             # every colour, both triangles: code 0's plane is an inverse
             assert not plane_bits(adj, 64 * words)[..., B:].any()
             assert rainbow_triangle_mask(codes[:B], n, colours, space).shape == (B,)
